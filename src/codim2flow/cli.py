@@ -28,6 +28,7 @@ from .curvature import TOL_H, field_scalars
 from .errors import BracketInvalid, Codim2FlowError, InvalidK, ResolutionTooCoarse
 from .flow import (
     FlowConfig,
+    Snapshot,
     decay_exponent_fit,
     run_flow,
     type_i_rescale,
@@ -67,7 +68,10 @@ _SURFACE_KEYS = {
 }
 
 _FLOW_KEYS = ("k", "gamma", "eps", "sigma", "p", "cfl", "stop_a2", "max_steps",
-              "output_every", "eta", "epsilon_z", "poincare_every", "min_angle_deg")
+              "output_every", "eta", "epsilon_z", "pinch_fraction", "poincare_every",
+              "min_angle_deg", "redistribution")
+
+_SCENARIO_KEYS = {"name", "surface", "stop_factor", *_FLOW_KEYS}
 
 
 def parse_scenario_text(text: str) -> dict:
@@ -100,6 +104,9 @@ def load_scenario(scenario: str) -> dict:
         raise ValueError(f"unknown scenario {scenario!r}: not a preset "
                          f"({', '.join(sorted(SCENARIO_PRESETS))}) and no such file")
     sc = parse_scenario_text(path.read_text())
+    unknown = set(sc) - _SCENARIO_KEYS - set(_SURFACE_KEYS.get(sc.get("surface"), ()))
+    if unknown:
+        raise ValueError(f"scenario {scenario}: unknown keys {sorted(unknown)}")
     sc.setdefault("name", path.stem)
     return sc
 
@@ -158,8 +165,7 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
     cfg = flow_config(sc)
     if sc.get("stop_factor") and cfg.stop_a2 is None:
         recover_geometry(mesh)
-        na2 = mesh.frame_h ** 2 / 2 + 2 * (mesh.frame_a ** 2 + mesh.frame_b ** 2 + mesh.frame_c ** 2)
-        cfg.stop_a2 = float(sc["stop_factor"]) * float(np.max(na2))
+        cfg.stop_a2 = float(sc["stop_factor"]) * float(np.max(mesh.norm_a2()))
 
     result = run_flow(mesh, cfg)
     trace = result.trace
@@ -304,15 +310,19 @@ def _cmd_flow(args) -> int:
 
 def _cmd_rescale(args) -> int:
     run_dir = Path(args.run)
-    index = json.loads((run_dir / "snapshots" / "index.json").read_text())
-    summary = json.loads((run_dir / "run.json").read_text())
-    cfg = flow_config(summary["scenario"])
-    from .flow import Snapshot
-    snaps = []
-    for entry in index:
-        mesh = read_off4(run_dir / "snapshots" / f"snap_{entry['index']:03d}.off4")
-        snaps.append(Snapshot(entry["step"], entry["t"], entry["maxA2"], mesh))
-    rescaled = type_i_rescale(snaps, summary["stop_a2"], cfg.gamma)
+    try:
+        index = json.loads((run_dir / "snapshots" / "index.json").read_text())
+        summary = json.loads((run_dir / "run.json").read_text())
+        cfg = flow_config(summary["scenario"])
+        stop_a2 = summary["stop_a2"]
+        snaps = [Snapshot(e["step"], e["t"], e["maxA2"],
+                          read_off4(run_dir / "snapshots" / f"snap_{e['index']:03d}.off4"))
+                 for e in index]
+    except OSError as exc:
+        raise ValueError(f"cannot read flow run {run_dir}: {exc}") from None
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed flow run {run_dir}: {type(exc).__name__}: {exc}") from None
+    rescaled = type_i_rescale(snaps, stop_a2, cfg.gamma)
     out = Path(args.out) if args.out else run_dir / "rescaled"
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -270,8 +270,7 @@ def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
     """
     if not mesh.geometry_recovered:
         recover_geometry(mesh)
-    max_a2 = float(np.max(mesh.frame_h ** 2 / 2
-                          + 2 * (mesh.frame_a ** 2 + mesh.frame_b ** 2 + mesh.frame_c ** 2)))
+    max_a2 = float(np.max(mesh.norm_a2()))
     dt = cfg.cfl * min(float(np.min(mesh.vertex_area)), 1.0 / max_a2)
     area0 = mesh.total_area()
     nor = mesh.normal
@@ -330,8 +329,7 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig, snapshot_factor: float = 2.0) -
     recover_geometry(mesh)
     cfg.resolved_epsilon_z()
     r0 = float(np.sqrt(np.max(np.einsum("ni,ni->n", mesh.vertices, mesh.vertices))))
-    max_a2 = float(np.max(mesh.frame_h ** 2 / 2
-                          + 2 * (mesh.frame_a ** 2 + mesh.frame_b ** 2 + mesh.frame_c ** 2)))
+    max_a2 = float(np.max(mesh.norm_a2()))
     stop_a2 = cfg.stop_a2 if cfg.stop_a2 is not None else 1e4 * max_a2
 
     trace = FlowTrace()
@@ -342,8 +340,7 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig, snapshot_factor: float = 2.0) -
     for step in range(1, cfg.max_steps + 1):
         mesh, dt = step_mcf(mesh, cfg)
         t += dt
-        max_a2 = float(np.max(mesh.frame_h ** 2 / 2
-                              + 2 * (mesh.frame_a ** 2 + mesh.frame_b ** 2 + mesh.frame_c ** 2)))
+        max_a2 = float(np.max(mesh.norm_a2()))
         want_snapshot = max_a2 >= snapshot_factor * snapshots[-1].max_a2
         done = max_a2 >= stop_a2
         if step % cfg.output_every == 0 or done or want_snapshot:

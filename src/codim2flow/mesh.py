@@ -16,6 +16,7 @@ dynamics, and their agreement on exact shapes is itself a regression check.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -23,6 +24,35 @@ from .curvature import special_frame_fields
 from .errors import DegenerateNeighborhood, NonManifoldMesh
 
 MIN_RING2 = 6
+
+# Vertices per jet-fit block.  Bounds the fit's workspace (2.7 MB for
+# 18-point stencils) whatever the mesh size.
+JET_BLOCK = 256
+
+# Quartic jet basis x0^i x1^j in elimination order: the nine cubic and
+# quartic terms first, then the six low-order ones whose coefficients the
+# fit returns (1, x0, x1, x0^2, x0 x1, x1^2).
+_JET_EXP = np.array([(4, 0), (3, 1), (2, 2), (1, 3), (0, 4), (3, 0), (2, 1), (1, 2), (0, 3),
+                     (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+_N_JET = len(_JET_EXP)
+_N_LOW = 6
+_N_HIGH = _N_JET - _N_LOW
+_MOM_DEG = 8  # moments x0^i x1^j with i, j <= 8 cover all products of two basis terms
+_RHS_DEG = 4  # right-hand sides pair y with basis terms only
+_JET_DIAG = np.arange(_N_JET)
+# flat moment index of each normal-matrix entry, then of each right-hand side
+_JET_GATHER = np.concatenate([
+    (_JET_EXP[:, None, 0] + _JET_EXP[None, :, 0]) * (_MOM_DEG + 1)
+    + _JET_EXP[:, None, 1] + _JET_EXP[None, :, 1],
+    (_MOM_DEG + 1 + np.arange(2)[:, None] * (_RHS_DEG + 1) + _JET_EXP[None, :, 0]) * (_MOM_DEG + 1)
+    + _JET_EXP[None, :, 1],
+])
+_JET_KEEP_QUAD = np.zeros((_N_JET + 2, _N_JET, 1), dtype=bool)
+_JET_KEEP_QUAD[_N_HIGH:, _N_HIGH:] = True
+_JET_EYE_HIGH = np.zeros((_N_JET + 2, _N_JET, 1))
+_JET_EYE_HIGH[:_N_HIGH, :_N_HIGH, 0] = np.eye(_N_HIGH)
+# smallest Cholesky pivot, relative to its diagonal entry, of a full-rank fit
+_PIVOT_RTOL = 1e-12
 
 
 class SurfaceMesh:
@@ -56,6 +86,7 @@ class SurfaceMesh:
         self.frame_a = None
         self.frame_b = None
         self.frame_c = None
+        self._total_area = None
 
     # -- derived topology ---------------------------------------------------
 
@@ -98,7 +129,16 @@ class SurfaceMesh:
         return 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
 
     def total_area(self) -> float:
+        """Sum of triangle areas; cached by recover_geometry."""
+        if self.geometry_recovered:
+            return self._total_area
         return float(self.triangle_areas().sum())
+
+    def norm_a2(self) -> np.ndarray:
+        """Per-vertex |A|^2 as the sum of h_{ij,alpha}^2; finite even where |H| = 0."""
+        if not self.geometry_recovered:
+            raise RuntimeError("recover_geometry must run first")
+        return np.einsum("nija,nija->n", self.shape, self.shape)
 
     def min_triangle_angle(self) -> float:
         p = self.vertices[self.triangles]
@@ -183,20 +223,24 @@ def _build_topology(n_vertices: int, triangles: np.ndarray, require_closed: bool
 # geometry recovery
 
 
-def _mixed_voronoi_areas(mesh: SurfaceMesh) -> np.ndarray:
-    """Meyer-style mixed areas: Voronoi for non-obtuse corners, else split."""
-    v = mesh.vertices
-    tri = mesh.triangles
-    p = v[tri]
-    area = mesh.triangle_areas()
-    out = np.zeros(mesh.n_vertices)
-    cots = np.empty((tri.shape[0], 3))
-    sq = np.empty((tri.shape[0], 3))
+def _corner_cotangents(mesh: SurfaceMesh, area: np.ndarray) -> np.ndarray:
+    """(m, 3) cotangent of each triangle's interior angle at corner i."""
+    p = mesh.vertices[mesh.triangles]
+    cots = np.empty((mesh.n_triangles, 3))
     for i in range(3):
         u1 = p[:, (i + 1) % 3] - p[:, i]
         u2 = p[:, (i + 2) % 3] - p[:, i]
-        dot = np.einsum("mi,mi->m", u1, u2)
-        cots[:, i] = dot / np.maximum(2.0 * area, 1e-300)
+        cots[:, i] = np.einsum("mi,mi->m", u1, u2) / np.maximum(2.0 * area, 1e-300)
+    return cots
+
+
+def _mixed_voronoi_areas(mesh: SurfaceMesh, area: np.ndarray, cots: np.ndarray) -> np.ndarray:
+    """Meyer-style mixed areas: Voronoi for non-obtuse corners, else split."""
+    tri = mesh.triangles
+    p = mesh.vertices[tri]
+    out = np.zeros(mesh.n_vertices)
+    sq = np.empty((tri.shape[0], 3))
+    for i in range(3):
         e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         sq[:, i] = np.einsum("mi,mi->m", e, e)  # squared edge opposite corner i
     obtuse = cots < 0
@@ -210,20 +254,16 @@ def _mixed_voronoi_areas(mesh: SurfaceMesh) -> np.ndarray:
     return out
 
 
-def _cotan_mean_curvature(mesh: SurfaceMesh, areas: np.ndarray) -> np.ndarray:
+def _cotan_mean_curvature(mesh: SurfaceMesh, cots: np.ndarray, areas: np.ndarray) -> np.ndarray:
     """Delta_g F per vertex: the discrete mean curvature vector in R^4."""
     v = mesh.vertices
     tri = mesh.triangles
     p = v[tri]
-    area = np.maximum(mesh.triangle_areas(), 1e-300)
     acc = np.zeros_like(v)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        u1 = p[:, j] - p[:, i]
-        u2 = p[:, k] - p[:, i]
-        cot_i = np.einsum("mi,mi->m", u1, u2) / (2.0 * area)
         # corner i's cotangent weights the opposite edge (j, k)
-        d = (p[:, k] - p[:, j]) * cot_i[:, None]
+        d = (p[:, k] - p[:, j]) * cots[:, i, None]
         np.add.at(acc, tri[:, j], d)
         np.add.at(acc, tri[:, k], -d)
     return acc / (2.0 * np.maximum(areas, 1e-300))[:, None]
@@ -239,25 +279,99 @@ def _gram_schmidt_pair(vecs: np.ndarray) -> np.ndarray:
     return np.stack([v0, v1], axis=2)
 
 
-def _jet_basis(x0: np.ndarray, x1: np.ndarray, nbasis: int) -> np.ndarray:
-    phi = np.empty(x0.shape + (nbasis,))
-    phi[..., 0] = 1.0
-    phi[..., 1] = x0
-    phi[..., 2] = x1
-    np.multiply(x0, x0, out=phi[..., 3])
-    np.multiply(x0, x1, out=phi[..., 4])
-    np.multiply(x1, x1, out=phi[..., 5])
-    if nbasis == 15:
-        np.multiply(phi[..., 3], x0, out=phi[..., 6])
-        np.multiply(phi[..., 3], x1, out=phi[..., 7])
-        np.multiply(phi[..., 4], x1, out=phi[..., 8])
-        np.multiply(phi[..., 5], x1, out=phi[..., 9])
-        np.multiply(phi[..., 6], x0, out=phi[..., 10])
-        np.multiply(phi[..., 7], x0, out=phi[..., 11])
-        np.multiply(phi[..., 8], x0, out=phi[..., 12])
-        np.multiply(phi[..., 9], x0, out=phi[..., 13])
-        np.multiply(phi[..., 9], x1, out=phi[..., 14])
-    return phi
+def _jet_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Weighted least-squares jet fit of y over x, one vertex block at a time.
+
+    x (n, K, 2) holds tangent coordinates in units of the stencil scale,
+    y (n, K, 2) the two normal offsets and w (n, K) the stencil weights;
+    full (n,) selects the quartic basis, otherwise the quadratic one.
+    Returns the (n, 6, 2) coefficients of 1, x0, x1, x0^2, x0 x1, x1^2 per
+    normal direction.  Each vertex's result depends on that vertex alone.
+    Raises DegenerateNeighborhood on a rank-deficient stencil.
+    """
+    n, k = w.shape
+    coef = np.empty((n, _N_LOW, 2))
+    # every block works in one buffer: a single allocation of the same size
+    # on each call, which the allocator keeps instead of unmapping
+    work = np.empty(sum(math.prod(s) for s in _jet_block_shapes(min(n, JET_BLOCK), k)))
+    for lo in range(0, n, JET_BLOCK):
+        blk = slice(lo, lo + JET_BLOCK)
+        coef[blk] = _jet_fit_block(x[blk], y[blk], w[blk], full[blk], work)
+    if not np.all(np.isfinite(coef)):
+        raise DegenerateNeighborhood("non-finite jet coefficients")
+    return coef
+
+
+def _jet_block_shapes(b: int, k: int) -> list:
+    """Shapes of the block arrays: x0 and x1 powers, matmul operand and
+    product, moments with the vertex last, augmented normal matrix."""
+    rows = _MOM_DEG + 1 + 2 * (_RHS_DEG + 1)
+    return [(_MOM_DEG + 1, b, k), (_MOM_DEG + 1, b, k), (rows, b, k),
+            (b, rows, _MOM_DEG + 1), (rows * (_MOM_DEG + 1), b), (_N_JET + 2, _N_JET, b)]
+
+
+def _jet_fit_block(x, y, w, full, work):
+    b, k = w.shape
+    arrays, off = [], 0
+    for shape in _jet_block_shapes(b, k):
+        arrays.append(work[off:off + math.prod(shape)].reshape(shape))
+        off += math.prod(shape)
+    p0, p1, lhs, mom, mom_t, a = arrays
+    p0[0] = 1.0
+    p1[0] = 1.0
+    p0[1] = x[:, :, 0]
+    p1[1] = x[:, :, 1]
+    for i in range(2, _MOM_DEG + 1):
+        np.multiply(p0[i - 1], p0[1], out=p0[i])
+        np.multiply(p1[i - 1], p1[1], out=p1[i])
+    # one matmul gives the weighted moments sum w x0^i x1^j (rows i <= 8)
+    # and sum w y_s x0^i x1^j (rows 9 + 5 s + i, i <= 4)
+    np.multiply(w, p0, out=lhs[:_MOM_DEG + 1])
+    np.multiply((w * y.transpose(2, 0, 1))[:, None], p0[:_RHS_DEG + 1],
+                out=lhs[_MOM_DEG + 1:].reshape(2, _RHS_DEG + 1, b, k))
+    np.matmul(lhs.transpose(1, 0, 2), p1.transpose(1, 2, 0), out=mom)
+    np.copyto(mom_t, mom.reshape(b, -1).T)
+    # normal matrix with the two right-hand sides as extra rows, vertex last
+    np.take(mom_t, _JET_GATHER, axis=0, out=a, mode="clip")
+    coef, ok = _jet_solve(a, full)
+    redo = full & ~ok
+    if redo.any():
+        # a stencil that cannot separate the cubic and quartic terms (a grid
+        # row with four distinct abscissae, say) takes the quadratic fit
+        coef[redo], ok[redo] = _jet_solve(mom_t[:, redo][_JET_GATHER],
+                                          np.zeros(int(redo.sum()), dtype=bool))
+    if not ok.all():
+        raise DegenerateNeighborhood("rank-deficient jet fit")
+    return coef
+
+
+def _jet_solve(a: np.ndarray, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky solve, in place, of the (17, 15, b) augmented normal matrix.
+
+    Returns the (b, 6, 2) low-order coefficients and whether each vertex's
+    normal matrix had full rank.
+    """
+    fallback = np.flatnonzero(~full)
+    if fallback.size:
+        # an identity block decouples the cubic and quartic unknowns: the
+        # quadratic unknowns then solve exactly the 6-term normal equations
+        a[:, :, fallback] = np.where(_JET_KEEP_QUAD, a[:, :, fallback], _JET_EYE_HIGH)
+    diag = a[_JET_DIAG, _JET_DIAG]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # left-looking Cholesky; the extra rows come out forward-solved
+        for j in range(_N_JET):
+            a[j:, j] -= np.einsum("ikv,kv->iv", a[j:, :j], a[j, :j])
+            np.sqrt(a[j, j], out=a[j, j])
+            a[j + 1:, j] /= a[j, j]
+        ok = np.all(a[_JET_DIAG, _JET_DIAG] ** 2 > _PIVOT_RTOL * diag, axis=0)
+        # back-substitution: the low-order unknowns come last, so they need
+        # only their own rows of the factor
+        low = a[_N_HIGH:_N_JET, _N_HIGH:]
+        c = a[_N_JET:, _N_HIGH:].copy()
+        for j in range(_N_LOW - 1, -1, -1):
+            c[:, j] /= low[j, j]
+            c[:, :j] -= low[j, :j] * c[:, j, None]
+    return c.transpose(2, 1, 0), ok
 
 
 def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
@@ -268,8 +382,10 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     coefficients of a weighted quartic jet fit of the two normal offsets
     over local tangent coordinates (the quartic terms absorb the
     fourth-order surface contributions that would otherwise alias into the
-    curvature).  Vertices whose 2-ring is too small for the quartic basis
-    fall back to the plain quadratic fit.  Modifies in place and returns
+    curvature).  Vertices whose 2-ring is too small for the quartic basis,
+    or cannot separate its terms, fall back to the plain quadratic fit.
+    Triangle areas and corner cotangents are computed once and shared by
+    the mixed areas and the cotan velocity.  Modifies in place and returns
     the mesh.
     """
     v = mesh.vertices
@@ -305,30 +421,7 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     full = (counts >= 15) & (eff >= 12.0)
 
     def fit_all(tan, nor):
-        x = (d @ tan) / sigma[:, None, None]         # (n, K, 2)
-        y = d @ nor                                  # (n, K, 2)
-        coef6 = np.zeros((mesh.n_vertices, 6, 2))
-
-        def fit(sel, nbasis):
-            phi = _jet_basis(x[sel, :, 0], x[sel, :, 1], nbasis)
-            phiw = phi * w[sel][:, :, None]
-            mats = phi.transpose(0, 2, 1) @ phiw
-            rhs = phiw.transpose(0, 2, 1) @ y[sel]
-            try:
-                coef = np.linalg.solve(mats, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateNeighborhood(f"rank-deficient jet fit: {exc}") from None
-            if not np.all(np.isfinite(coef)):
-                raise DegenerateNeighborhood("non-finite jet coefficients")
-            coef6[sel] = coef[:, :6, :]
-
-        if full.all():
-            fit(slice(None), 15)
-        else:
-            if full.any():
-                fit(full, 15)
-            fit(~full, 6)
-        return coef6
+        return _jet_fit((d @ tan) / sigma[:, None, None], d @ nor, w, full)
 
     coef6 = fit_all(tangent, normal)
 
@@ -354,14 +447,17 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     mc_alpha = shape[:, 0, 0, :] + shape[:, 1, 1, :]
     mc_jet = np.einsum("nia,na->ni", normal, mc_alpha)
 
-    areas = _mixed_voronoi_areas(mesh)
+    tri_area = mesh.triangle_areas()
+    cots = _corner_cotangents(mesh, tri_area)
+    areas = _mixed_voronoi_areas(mesh, tri_area, cots)
     mesh.vertex_area = areas
+    mesh._total_area = float(tri_area.sum())
     mesh.tangent = tangent
     mesh.normal = normal
     mesh.shape = shape
     mesh.mean_curv_alpha = mc_alpha
     mesh.mean_curv_jet = mc_jet
-    mesh.mean_curv_cot = _cotan_mean_curvature(mesh, areas)
+    mesh.mean_curv_cot = _cotan_mean_curvature(mesh, cots, areas)
     h, a, b, c = special_frame_fields(shape, mc_alpha)
     mesh.frame_h, mesh.frame_a, mesh.frame_b, mesh.frame_c = h, a, b, c
     mesh.geometry_recovered = True
@@ -468,16 +564,21 @@ def write_off4(mesh: SurfaceMesh, path) -> None:
 def read_off4(path, require_closed: bool = True) -> SurfaceMesh:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise ValueError(f"empty OFF4 file: {path}")
     if lines[0] != "OFF4":
         raise ValueError(f"not an OFF4 file: header {lines[0]!r}")
-    nv, nf, _ = (int(x) for x in lines[1].split())
-    verts = np.array([[float(x) for x in lines[2 + i].split()] for i in range(nv)])
-    tris = []
-    for i in range(nf):
-        parts = lines[2 + nv + i].split()
-        if parts[0] != "3":
-            raise ValueError("only triangle faces supported")
-        tris.append([int(p) for p in parts[1:4]])
+    try:
+        nv, nf, _ = (int(x) for x in lines[1].split())
+        verts = np.array([[float(x) for x in lines[2 + i].split()] for i in range(nv)])
+        tris = []
+        for i in range(nf):
+            parts = lines[2 + nv + i].split()
+            if parts[0] != "3":
+                raise ValueError("only triangle faces supported")
+            tris.append([int(p) for p in parts[1:4]])
+    except IndexError:
+        raise ValueError(f"truncated OFF4 file: {path}") from None
     return SurfaceMesh(verts, np.array(tris), require_closed=require_closed)
 
 

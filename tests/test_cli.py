@@ -6,6 +6,7 @@ import pytest
 import codim2flow.identities as identities
 from codim2flow.cli import (
     build_surface,
+    flow_config,
     load_scenario,
     main,
     parse_scenario_text,
@@ -209,6 +210,42 @@ def test_cmd_rescale_from_run_dir(tmp_path):
 
 def test_cmd_flow_unknown_scenario_is_config_error():
     assert main(["flow", "definitely_missing"]) == 2
+
+
+def test_scenario_unknown_keys_are_config_errors(tmp_path):
+    for typo in ({"cfll": 0.1}, {"subdivisons": 3}):
+        cfg = tiny_scenario(tmp_path, **typo)
+        assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def test_scenario_sets_redistribution_and_pinch_fraction(tmp_path):
+    cfg = flow_config(load_scenario(str(tiny_scenario(tmp_path, redistribution=0.1,
+                                                       pinch_fraction=0.7))))
+    assert cfg.redistribution == 0.1 and cfg.pinch_fraction == 0.7
+
+
+def test_cmd_rescale_missing_run_dir_is_config_error(tmp_path):
+    assert main(["rescale", "--run", str(tmp_path / "no_such_run")]) == 2
+
+
+def test_cmd_rescale_malformed_run_json_is_config_error(tmp_path):
+    (tmp_path / "snapshots").mkdir()
+    (tmp_path / "snapshots" / "index.json").write_text("[]")
+    (tmp_path / "run.json").write_text('{"scenario": {}}')
+    assert main(["rescale", "--run", str(tmp_path)]) == 2
+
+
+def test_empty_off4_is_config_error(tmp_path):
+    (tmp_path / "snapshots").mkdir()
+    empty = tmp_path / "snapshots" / "snap_000.off4"
+    empty.write_text("")
+    with pytest.raises(ValueError):
+        read_off4(empty)
+    (tmp_path / "snapshots" / "index.json").write_text(
+        '[{"index": 0, "step": 0, "t": 0.0, "maxA2": 2.0}]')
+    (tmp_path / "run.json").write_text('{"scenario": {}, "stop_a2": 4.0}')
+    assert main(["rescale", "--run", str(tmp_path)]) == 2
 
 
 def test_usage_error_exit_code():

@@ -101,6 +101,32 @@ def test_step_dt_rule():
                                          1.0 / float(np.max(na2))), rel=1e-12)
 
 
+def test_nan_frame_entry_keeps_dt_and_stop_rules(monkeypatch):
+    # |H| <= TOL_H leaves NaN in the special-frame fields; the curvature bound
+    # on dt and the stop rule must not depend on them
+    import codim2flow.flow as flowmod
+    recover = flowmod.recover_geometry
+
+    def recover_with_nan(mesh):
+        recover(mesh)
+        mesh.frame_a[0] = np.nan
+        return mesh
+
+    monkeypatch.setattr(flowmod, "recover_geometry", recover_with_nan)
+    m = recover_with_nan(ellipsoid_plus_bump(1.0, 1.0, 0.2, 0.0, subdivisions=3))
+    max_a2 = float(np.max(m.norm_a2()))
+    assert float(np.min(m.vertex_area)) * max_a2 > 1.0  # curvature-limited mesh
+    cfg = small_cfg(cfl=0.1)
+    _, dt = step_mcf(m, cfg)
+    assert dt == pytest.approx(cfg.cfl / max_a2)
+
+    cfg = small_cfg(cfl=0.1, stop_a2=2.2, max_steps=200, output_every=1000,
+                    poincare_every=1000)
+    result = run_flow(icosphere(1.0, 2), cfg)
+    assert result.status == "blowup_threshold"
+    assert result.trace.rows[-1].step < 200
+
+
 def test_step_too_large_after_halvings(monkeypatch):
     m = icosphere(1.0, 2)
     recover_geometry(m)

@@ -8,6 +8,7 @@ from codim2flow.curvature import ShapeTensor, simons_z_closed, simons_z_tensor, 
 from codim2flow.errors import DegenerateNeighborhood, NonManifoldMesh
 from codim2flow.mesh import (
     SurfaceMesh,
+    _jet_fit,
     mesh_from_json,
     mesh_to_json,
     read_off4,
@@ -191,6 +192,103 @@ def test_degenerate_neighborhood_raised():
     tris = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
     with pytest.raises(DegenerateNeighborhood):
         SurfaceMesh(verts, tris)
+
+
+# ---------------------------------------------------------------------------
+# blocked jet-fit kernel
+
+
+@pytest.fixture(scope="module")
+def pinched3():
+    m = ellipsoid_plus_bump(1.2, 1.0, 0.9, 0.05, subdivisions=3)
+    recover_geometry(m)
+    return m
+
+
+def _stencil(mesh):
+    """Jet-fit inputs as recover_geometry builds them, in the final frames."""
+    topo = mesh._topo
+    idx2, mask2 = topo["ring2_idx"], topo["ring2_mask"]
+    d = mesh.vertices[idx2] - mesh.vertices[:, None, :]
+    r2 = np.einsum("nki,nki->nk", d, d)
+    sigma = 0.75 * np.sum(np.sqrt(r2) * mask2, axis=1) / mask2.sum(axis=1)
+    w = np.exp(-r2 / (2.0 * sigma[:, None] ** 2)) * mask2
+    return (d @ mesh.tangent) / sigma[:, None, None], d @ mesh.normal, w, sigma
+
+
+def _reference_fit(x, y, w, full):
+    """Per-vertex normal equations solved by LU, quartic or quadratic basis."""
+    out = np.empty((w.shape[0], 6, 2))
+    for i in range(w.shape[0]):
+        x0, x1 = x[i, :, 0], x[i, :, 1]
+        cols = [np.ones_like(x0), x0, x1, x0 * x0, x0 * x1, x1 * x1]
+        if full[i]:
+            cols += [x0 ** 3, x0 ** 2 * x1, x0 * x1 ** 2, x1 ** 3,
+                     x0 ** 4, x0 ** 3 * x1, x0 ** 2 * x1 ** 2, x0 * x1 ** 3, x1 ** 4]
+        phi = np.stack(cols, axis=1)
+        phiw = phi * w[i, :, None]
+        out[i] = np.linalg.solve(phi.T @ phiw, phiw.T @ y[i])[:6]
+    return out
+
+
+def _assert_fits_agree(coef, ref, sigma, max_a):
+    # quadratic coefficients in curvature units, linear ones as slopes
+    assert np.max(np.abs(coef - ref)[:, 3:] / sigma[:, None, None] ** 2) <= 1e-10 * max_a
+    assert np.max(np.abs(coef - ref)[:, 1:3] / sigma[:, None, None]) <= 1e-10
+
+
+def test_jet_kernel_matches_lu_reference(sphere4, torus48, pinched3):
+    for m in (sphere4, torus48, pinched3):
+        x, y, w, sigma = _stencil(m)
+        full = np.ones(m.n_vertices, dtype=bool)
+        max_a = float(np.sqrt(np.max(m.norm_a2())))
+        _assert_fits_agree(_jet_fit(x, y, w, full), _reference_fit(x, y, w, full), sigma, max_a)
+
+
+def test_jet_kernel_fallback_is_plain_quadratic_fit(pinched3):
+    x, y, w, sigma = _stencil(pinched3)
+    full = np.ones(pinched3.n_vertices, dtype=bool)
+    full[::37] = False
+    coef = _jet_fit(x, y, w, full)
+    quad = _reference_fit(x, y, w, np.zeros_like(full))
+    max_a = float(np.sqrt(np.max(pinched3.norm_a2())))
+    _assert_fits_agree(coef[~full], quad[~full], sigma[~full], max_a)
+    # the quartic terms do change the fit elsewhere
+    assert np.max(np.abs(coef[full] - quad[full])[:, 3:]) > 1e-6
+
+
+def test_jet_kernel_independent_of_block_split(pinched3):
+    x, y, w, _ = _stencil(pinched3)
+    full = np.ones(pinched3.n_vertices, dtype=bool)
+    full[5::41] = False
+    whole = _jet_fit(x, y, w, full)
+    cuts = [0, 1, 130, 131, 400, pinched3.n_vertices]
+    parts = [_jet_fit(x[a:b], y[a:b], w[a:b], full[a:b]) for a, b in zip(cuts, cuts[1:])]
+    # one-vertex blocks sum in another order, so equal up to rounding only
+    assert np.max(np.abs(np.concatenate(parts) - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+def test_jet_kernel_rank_deficient_stencil_raises():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, 18, 2))
+    x[1, :, 1] = 0.5 * x[1, :, 0]           # stencil on a line through the vertex
+    y = rng.standard_normal((3, 18, 2))
+    w = np.ones((3, 18))
+    for full in (np.ones(3, dtype=bool), np.zeros(3, dtype=bool)):
+        with pytest.raises(DegenerateNeighborhood):
+            _jet_fit(x, y, w, full)
+
+
+def test_jet_kernel_singular_quartic_takes_quadratic_fit():
+    # four distinct abscissae: x0 (x0^2 - 1/4)(x0 + 1) vanishes on the stencil,
+    # so only the quadratic terms are determined
+    g0, g1 = np.meshgrid([-1.0, -0.5, 0.0, 0.5], [-1.0, -0.5, 0.0, 0.5, 1.0])
+    x = np.stack([g0.ravel(), g1.ravel()], axis=1)[None]
+    y = np.random.default_rng(1).standard_normal((1, 20, 2))
+    w = np.ones((1, 20))
+    coef = _jet_fit(x, y, w, np.ones(1, dtype=bool))
+    quad = _reference_fit(x, y, w, np.zeros(1, dtype=bool))
+    assert np.max(np.abs(coef - quad)) <= 1e-10 * np.max(np.abs(quad))
 
 
 # ---------------------------------------------------------------------------
