@@ -30,7 +30,6 @@ from .certifier import (
     certify_negativity,
     epsilon_z_scan,
     gamma_for_k,
-    grouped_form_value,
     reaction_at_zero_q,
     threshold_scan,
 )
@@ -43,5 +42,5 @@ __all__ = [
     "GradientState", "check_gradient_inequalities", "decompose_ef",
     "grad_kperp_bound", "nabla_evol_kperp", "norm_grad_a2", "norm_grad_h2",
     "CertificateReport", "ConeSample", "certify_negativity", "epsilon_z_scan",
-    "gamma_for_k", "grouped_form_value", "reaction_at_zero_q", "threshold_scan",
+    "gamma_for_k", "reaction_at_zero_q", "threshold_scan",
 ]

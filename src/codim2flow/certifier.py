@@ -115,57 +115,6 @@ def reaction_at_zero_q(s: ConeSample) -> float:
     return float(reaction_expression(s.a, s.b, s.c, s.eps, s.k, s.gamma))
 
 
-def grouped_brackets(s: ConeSample, eta1: float, eta2: float) -> tuple[float, float]:
-    """The two curly brackets of the grouped quadratic-form upper bound."""
-    if not (0 <= eta1 <= 1 and 0 <= eta2 <= 1):
-        raise ValueError("eta1 and eta2 must lie in [0, 1]")
-    m = s.k - 0.5
-    g = s.gamma
-    a, c = s.a, s.c
-    ac = abs(a * c)
-    ck = 6 - (1 + 2 * g * g) / m
-    b1 = (2 - 1 / m) * c * c + eta1 * (6 - 3 / m) * g * ac + eta2 * ck * a * a
-    b2 = (2 - 1 / m) * g * a * a + (1 - eta2) * ck * ac + (1 - eta1) * (6 - 3 / m) * g * c * c
-    return float(b1), float(b2)
-
-
-def grouped_form_value(s: ConeSample, eta1: float, eta2: float) -> float:
-    """Grouped upper bound 4 c^2 {B1} + 4 |ac| {B2} of the eps = 0 reaction.
-
-    Discards the strictly negative b-coupled terms, so it dominates the
-    exact reaction for every sample (equality when b = 0).  The total is
-    independent of (eta1, eta2); the split only matters when each bracket
-    is bounded separately.
-    """
-    b1, b2 = grouped_brackets(s, eta1, eta2)
-    return float(4 * s.c ** 2 * b1 + 4 * abs(s.a * s.c) * b2)
-
-
-def best_grouping(k: float, gamma: float, eta_res: int = 21, sphere_res: int = 96):
-    """Search the (eta1, eta2) grid for the split keeping both brackets smallest.
-
-    Returns (eta1, eta2, worst_bracket) where worst_bracket is the larger
-    bracket value maximized over the unit sphere; both brackets nonpositive
-    everywhere is the sufficient condition the grouping strategy aims for.
-    """
-    _check_k(k)
-    a, b, c = _octant_sphere_grid(sphere_res)
-    ac = np.abs(a * c)
-    m = k - 0.5
-    ck = 6 - (1 + 2 * gamma * gamma) / m
-    etas = np.linspace(0.0, 1.0, eta_res)
-    best = (0.0, 0.0, np.inf)
-    for e1 in etas:
-        for e2 in etas:
-            b1 = (2 - 1 / m) * c * c + e1 * (6 - 3 / m) * gamma * ac + e2 * ck * a * a
-            b2 = (2 - 1 / m) * gamma * a * a + (1 - e2) * ck * ac \
-                + (1 - e1) * (6 - 3 / m) * gamma * c * c
-            worst = float(np.maximum(b1, b2).max())
-            if worst < best[2]:
-                best = (float(e1), float(e2), worst)
-    return best
-
-
 def _octant_sphere_grid(res: int):
     """Unit-sphere grid on the canonical octant a >= 0, c >= 0 (b free)."""
     theta = np.linspace(0.0, np.pi, res)         # polar angle from the b axis
@@ -239,7 +188,7 @@ def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
     imax = int(np.argmax(values))
     order = np.argsort(values)[::-1][:worst_n]
     worst = [(float(a[i]), float(b[i]), float(c[i]), float(values[i])) for i in order]
-    report = CertificateReport(
+    return CertificateReport(
         k=float(k), gamma=float(gamma), delta=float(delta),
         max_value=float(values[imax]),
         argmax=ConeSample(float(a[imax]), float(b[imax]), float(c[imax]), 0.0, float(k), float(gamma)),
@@ -248,7 +197,6 @@ def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
         oracle_max_reldev=reldev,
         worst=worst,
     )
-    return report
 
 
 @dataclass
@@ -276,9 +224,15 @@ def threshold_scan(k_low: float, k_high: float, tol_k: float = 1e-3,
                    seed: int = 0, delta: float = 0.0) -> ThresholdScanResult:
     """Bisect for the k where the sampled reaction maximum changes sign.
 
-    Requires a valid bracket: negative maximum at k_low, positive at
-    k_high.  gamma follows 1 - (4/3) k - delta throughout.
+    Requires k_low < k_high, tol_k > 0 and a valid bracket: negative
+    maximum at k_low, positive at k_high.  gamma follows 1 - (4/3) k - delta
+    throughout.
     """
+    if not tol_k > 0:
+        raise ValueError(f"tol_k must be positive, got {tol_k}")
+    if not k_low < k_high:
+        raise BracketInvalid(f"need k_low < k_high, got [{k_low}, {k_high}]")
+
     def max_at(k):
         return certify_negativity(k, delta=delta, grid=grid,
                                   random_samples=random_samples, seed=seed,

@@ -20,13 +20,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import builders
 from .certifier import certify_negativity, threshold_scan
-from .curvature import TOL_H, field_scalars
+from .curvature import pinching_fields
 from .errors import BracketInvalid, Codim2FlowError, InvalidK, ResolutionTooCoarse
 from .flow import (
+    TRACE_COLUMNS,
     FlowConfig,
     Snapshot,
     decay_exponent_fit,
@@ -34,7 +33,7 @@ from .flow import (
     type_i_rescale,
 )
 from .identities import identity_report
-from .mesh import read_off4, recover_geometry, write_off4
+from .mesh import read_off4, write_off4
 
 SCENARIO_PRESETS = {
     # exact-solution oracle: radius tracks sqrt(1 - 4t); low cfl keeps the
@@ -67,11 +66,15 @@ _SURFACE_KEYS = {
     "product_torus": ("r1", "r2", "n1", "n2"),
 }
 
-_FLOW_KEYS = ("k", "gamma", "eps", "sigma", "p", "cfl", "stop_a2", "max_steps",
+_FLOW_KEYS = ("k", "gamma", "eps", "sigma", "p", "cfl", "stop_a2", "stop_factor", "max_steps",
               "output_every", "eta", "epsilon_z", "pinch_fraction", "poincare_every",
               "min_angle_deg", "redistribution")
 
-_SCENARIO_KEYS = {"name", "surface", "stop_factor", *_FLOW_KEYS}
+_SCENARIO_KEYS = {"name", "surface", *_FLOW_KEYS}
+
+# rescaled CSV column -> pinching_fields key
+_RESCALED_COLUMNS = {"h": "h", "acirc2": "norm_acirc2", "kperp_abs": "kperp_abs",
+                     "pinch_num": "pinch_num"}
 
 
 def parse_scenario_text(text: str) -> dict:
@@ -116,12 +119,9 @@ def build_surface(sc: dict):
     if kind not in _SURFACE_KEYS:
         raise ValueError(f"unknown surface {kind!r}; options: {sorted(_SURFACE_KEYS)}")
     kwargs = {k: sc[k] for k in _SURFACE_KEYS[kind] if k in sc}
-    if kind in ("product_torus",):
-        for k in ("n1", "n2"):
-            if k in kwargs:
-                kwargs[k] = int(kwargs[k])
-    if "subdivisions" in kwargs:
-        kwargs["subdivisions"] = int(kwargs["subdivisions"])
+    for k in ("n1", "n2", "subdivisions"):
+        if k in kwargs:
+            kwargs[k] = int(kwargs[k])
     return getattr(builders, kind)(**kwargs)
 
 
@@ -133,39 +133,44 @@ def flow_config(sc: dict) -> FlowConfig:
     return FlowConfig(**kwargs)
 
 
-def _vertex_field_table(mesh, cfg: FlowConfig) -> list:
-    sc = field_scalars(mesh.frame_h, mesh.frame_a, mesh.frame_b, mesh.frame_c)
-    h = mesh.frame_h
-    q = sc["norm_a2"] + 2 * cfg.gamma * np.abs(sc["normal_kperp"]) - cfg.k * h * h + cfg.eps
-    num = sc["norm_acirc2"] + 2 * cfg.gamma * np.abs(sc["normal_kperp"])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(h > TOL_H, num / h ** (2 * (1 - cfg.sigma)), np.nan)
-    return [h, sc["norm_a2"], q, f, sc["gauss_k"], sc["normal_kperp"]]
-
-
-def _write_fields_csv(path, mesh, cfg: FlowConfig) -> None:
-    cols = _vertex_field_table(mesh, cfg)
+def _write_vertex_csv(path, header, cols) -> None:
+    """One row per vertex: its index, then each column's value."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["vertex", "H", "A2", "Q", "fsigma", "K", "Kperp"])
-        for i in range(mesh.n_vertices):
+        wr.writerow(["vertex", *header])
+        for i in range(len(cols[0])):
             wr.writerow([i] + [repr(float(col[i])) for col in cols])
 
 
+def _write_fields_csv(path, mesh, cfg: FlowConfig) -> None:
+    pf = pinching_fields(mesh.frame_h, mesh.frame_a, mesh.frame_b, mesh.frame_c,
+                         cfg.gamma, k=cfg.k, eps=cfg.eps, sigma=cfg.sigma)
+    _write_vertex_csv(path, ["H", "A2", "Q", "fsigma", "K", "Kperp"],
+                      [pf[key] for key in ("h", "norm_a2", "q", "fsigma", "gauss_k", "normal_kperp")])
+
+
+def _write_rescaled(rescaled, out: Path) -> list:
+    """rescaled_NNN.csv per rescaled snapshot under out; returns the summary rows."""
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for i, rs in enumerate(rescaled):
+        _write_vertex_csv(out / f"rescaled_{i:03d}.csv", list(_RESCALED_COLUMNS),
+                          [rs.fields[key] for key in _RESCALED_COLUMNS.values()])
+        rows.append({"index": i, "step": rs.step, "t": rs.t, "lambda": rs.lam,
+                     "maxH": rs.max_h, "maxPinchNumerator": rs.max_pinch_numerator})
+    return rows
+
+
 def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
-    """Run one flow scenario and write all artifacts under out_dir."""
+    """Run one flow scenario and write all artifacts under out_dir.
+
+    The builders are deterministic; seed is recorded for provenance.
+    """
     sc = load_scenario(scenario)
-    if "stop_factor" in sc and "stop_a2" not in sc:
-        sc["stop_a2"] = None  # resolved against initial curvature below
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.random.seed(seed)  # builders are deterministic; seed recorded for provenance
-
     mesh = build_surface(sc)
     cfg = flow_config(sc)
-    if sc.get("stop_factor") and cfg.stop_a2 is None:
-        recover_geometry(mesh)
-        cfg.stop_a2 = float(sc["stop_factor"]) * float(np.max(mesh.norm_a2()))
 
     result = run_flow(mesh, cfg)
     trace = result.trace
@@ -183,7 +188,6 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
     plot_dir = out / "plot"
     plot_dir.mkdir(exist_ok=True)
     t = trace.column("t")
-    from .flow import TRACE_COLUMNS
     for col in TRACE_COLUMNS:
         if col == "t":
             continue
@@ -191,21 +195,9 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
             for ti, vi in zip(t, trace.column(col)):
                 fh.write(f"{ti!r} {vi!r}\n")
 
-    rescale_summary = []
     try:
         rescaled = type_i_rescale(result.snapshots, result.stop_a2, cfg.gamma)
-        rdir = out / "rescaled"
-        rdir.mkdir(exist_ok=True)
-        for i, rs in enumerate(rescaled):
-            with open(rdir / f"rescaled_{i:03d}.csv", "w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow(["vertex", "h", "acirc2", "kperp_abs", "pinch_num"])
-                for j in range(rs.mesh.n_vertices):
-                    wr.writerow([j] + [repr(float(rs.fields[kk][j]))
-                                       for kk in ("h", "acirc2", "kperp_abs", "pinch_num")])
-            rescale_summary.append({"index": i, "step": rs.step, "t": rs.t,
-                                    "lambda": rs.lam, "maxH": rs.max_h,
-                                    "maxPinchNumerator": rs.max_pinch_numerator})
+        rescale_summary = _write_rescaled(rescaled, out / "rescaled")
     except Codim2FlowError as exc:
         rescale_summary = {"skipped": str(exc)}
     with open(out / "rescale_summary.json", "w") as fh:
@@ -323,18 +315,7 @@ def _cmd_rescale(args) -> int:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed flow run {run_dir}: {type(exc).__name__}: {exc}") from None
     rescaled = type_i_rescale(snaps, stop_a2, cfg.gamma)
-    out = Path(args.out) if args.out else run_dir / "rescaled"
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i, rs in enumerate(rescaled):
-        with open(out / f"rescaled_{i:03d}.csv", "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["vertex", "h", "acirc2", "kperp_abs", "pinch_num"])
-            for j in range(rs.mesh.n_vertices):
-                wr.writerow([j] + [repr(float(rs.fields[kk][j]))
-                                   for kk in ("h", "acirc2", "kperp_abs", "pinch_num")])
-        rows.append({"index": i, "lambda": rs.lam, "maxH": rs.max_h,
-                     "maxPinchNumerator": rs.max_pinch_numerator})
+    rows = _write_rescaled(rescaled, Path(args.out) if args.out else run_dir / "rescaled")
     print(json.dumps(rows, indent=1))
     return 0
 

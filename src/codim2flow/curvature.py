@@ -15,7 +15,6 @@ closed forms together with independent tensor-sum routes used as oracles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +102,8 @@ def scalars(s: SpecialFrameState) -> CurvatureScalars:
     This is the production path; tensor_scalars is the tensor-sum oracle.
     """
     h, a, b, c = s.h, s.a, s.b, s.c
-    norm_a2 = h * h / 2 + 2 * a * a + 2 * b * b + 2 * c * c
-    norm_acirc2 = 2 * a * a + 2 * b * b + 2 * c * c
-    gauss_k = h * h / 4 - a * a - b * b - c * c
-    kperp = 2 * a * c
+    f = field_scalars(h, a, b, c)
+    norm_a2, norm_acirc2, kperp = f["norm_a2"], f["norm_acirc2"], f["normal_kperp"]
     rm_perp2 = 4 * (kperp * kperp)
     c11 = h * h / 2 + 2 * a * a
     c12 = 2 * a * b
@@ -114,79 +111,54 @@ def scalars(s: SpecialFrameState) -> CurvatureScalars:
     r1 = c11 * c11 + 2 * c12 * c12 + c22 * c22 + rm_perp2
     r2 = h * h * c11
     r3 = kperp * (norm_a2 + 2 * norm_acirc2)
-    return CurvatureScalars(norm_a2, norm_acirc2, gauss_k, kperp, rm_perp2, r1, r2, r3)
+    return CurvatureScalars(norm_a2, norm_acirc2, f["gauss_k"], kperp, rm_perp2, r1, r2, r3)
+
+
+def lift_batch(h, a, b, c):
+    """Embed special-frame fields as (n, 2, 2, 2) shape tensors and (n, 2) mean curvatures."""
+    n = h.shape[0]
+    comp = np.zeros((n, 2, 2, 2))
+    comp[:, 0, 0, 0] = h / 2 + a
+    comp[:, 1, 1, 0] = h / 2 - a
+    comp[:, 0, 0, 1] = b
+    comp[:, 1, 1, 1] = -b
+    comp[:, 0, 1, 1] = c
+    comp[:, 1, 0, 1] = c
+    mc = np.zeros((n, 2))
+    mc[:, 0] = h
+    return comp, mc
 
 
 def lift(s: SpecialFrameState) -> ShapeTensor:
     """Embed a special-frame state as an explicit ShapeTensor."""
-    comp = np.empty((2, 2, 2))
-    comp[:, :, 0] = [[s.h / 2 + s.a, 0.0], [0.0, s.h / 2 - s.a]]
-    comp[:, :, 1] = [[s.b, s.c], [s.c, -s.b]]
-    return ShapeTensor(comp)
-
-
-def _rot2(theta: float) -> np.ndarray:
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.array([[ct, -st], [st, ct]])
+    comp, _ = lift_batch(*(np.array([x], dtype=float) for x in (s.h, s.a, s.b, s.c)))
+    return ShapeTensor(comp[0])
 
 
 def to_special_frame(t: ShapeTensor, tol_h: float = TOL_H) -> SpecialFrameState:
     """Reduce a general-frame shape tensor to the special orthonormal frame.
 
-    Rotates the normal frame so nu_1 = H/|H|, the tangent frame to
-    diagonalize the first shape operator (larger eigenvalue first, so
-    a >= 0), and flips the second tangent vector so c >= 0.  When the first
-    shape operator is umbilic to tolerance the tangent frame is instead
-    chosen to diagonalize the second shape operator (c = 0 convention).
-
+    special_frame_fields on a batch of one; see there for the conventions.
     Raises DegenerateMeanCurvature when |H| <= tol_h: the two normal
     directions only split canonically when the mean curvature is nonzero.
     """
-    comp = t.components
-    H = t.mean_curvature
-    nh = math.hypot(H[0], H[1])
-    if nh <= tol_h:
-        raise DegenerateMeanCurvature(f"|H| = {nh:.3e} <= {tol_h:.3e}")
-
-    # Normal rotation: nu_1 along H, nu_2 its orthogonal complement.
-    e1 = H / nh
-    a1 = e1[0] * comp[:, :, 0] + e1[1] * comp[:, :, 1]
-    a2 = -e1[1] * comp[:, :, 0] + e1[0] * comp[:, :, 1]
-
-    # Tangent rotation diagonalizing A1 with descending eigenvalues.
-    theta = 0.5 * math.atan2(2 * a1[0, 1], a1[0, 0] - a1[1, 1])
-    r = _rot2(theta)
-    a1d = r.T @ a1 @ r
-    a2d = r.T @ a2 @ r
-    a = 0.5 * (a1d[0, 0] - a1d[1, 1])
-    b = 0.5 * (a2d[0, 0] - a2d[1, 1])
-    c = 0.5 * (a2d[0, 1] + a2d[1, 0])
-
-    norm_a = math.sqrt(np.sum(comp * comp))
-    tol_frame = TOL_FRAME_REL * (norm_a + nh)
-    if a < tol_frame:
-        # A1 is umbilic to tolerance: resolve the tangent ambiguity by
-        # diagonalizing A2 instead, which forces c = 0.
-        theta2 = 0.5 * math.atan2(2 * c, 2 * b)
-        r2m = _rot2(theta2)
-        a1dd = r2m.T @ a1d @ r2m
-        a = 0.5 * (a1dd[0, 0] - a1dd[1, 1])
-        b = math.hypot(b, c)
-        c = 0.0
-        if a < 0:
-            a, b = -a, -b
-    elif c < 0:
-        c = -c  # flip the second tangent vector
-
-    return SpecialFrameState(nh, a, b, c)
+    h, a, b, c = special_frame_fields(t.components[None], t.mean_curvature[None], tol_h)
+    if not h[0] > tol_h:
+        raise DegenerateMeanCurvature(f"|H| = {h[0]:.3e} <= {tol_h:.3e}")
+    return SpecialFrameState(float(h[0]), float(a[0]), float(b[0]), float(c[0]))
 
 
 def special_frame_fields(comp: np.ndarray, mean_curv: np.ndarray, tol_h: float = TOL_H):
     """Vectorized special-frame reduction for per-vertex mesh data.
 
     comp has shape (n, 2, 2, alpha) and mean_curv shape (n, 2).  Returns
-    arrays (h, a, b, c).  Entries with |H| <= tol_h come back as NaN in
-    (a, b, c) so callers can flag them rather than abort a whole mesh.
+    arrays (h, a, b, c).  The normal frame is rotated so nu_1 = H/|H| and
+    the tangent frame to diagonalize the first shape operator, larger
+    eigenvalue first (a >= 0), with the second tangent vector flipped so
+    c >= 0.  Where the first shape operator is umbilic to tolerance the
+    tangent frame diagonalizes the second one instead: c = 0 and b >= 0.
+    Entries with |H| <= tol_h come back as NaN in (a, b, c) so callers can
+    flag them rather than abort a whole mesh.
     """
     comp = np.asarray(comp, dtype=float)
     mean_curv = np.asarray(mean_curv, dtype=float)
@@ -222,8 +194,9 @@ def special_frame_fields(comp: np.ndarray, mean_curv: np.ndarray, tol_h: float =
 def field_scalars(h, a, b, c) -> dict:
     """Vectorized closed-form scalars for per-vertex frame fields.
 
-    Same formulas as scalars(); accepts equal-shaped arrays, returns a dict
-    of arrays keyed like CurvatureScalars fields (kperp is canonical, >= 0).
+    Accepts equal-shaped arrays (or plain floats), returns a dict of arrays
+    keyed like CurvatureScalars fields (kperp is canonical, >= 0) plus the
+    Simons nonlinearity; scalars() reads its shared invariants from here.
     """
     norm_a2 = h * h / 2 + 2 * a * a + 2 * b * b + 2 * c * c
     norm_acirc2 = 2 * a * a + 2 * b * b + 2 * c * c
@@ -236,6 +209,25 @@ def field_scalars(h, a, b, c) -> dict:
         "normal_kperp": kperp,
         "simons_z": 2 * gauss_k * norm_acirc2 - 2 * kperp * kperp,
     }
+
+
+def pinching_fields(h, a, b, c, gamma, k=0.0, eps=0.0, sigma=0.0, tol_h=TOL_H) -> dict:
+    """field_scalars plus the pinching data of the flow monitors.
+
+    Adds "h" = |H|, "kperp_abs" = |K-perp|, the pinching numerator
+    "pinch_num" = |A-circ|^2 + 2 gamma |K-perp|, "q" = Q = |A|^2 + 2 gamma
+    |K-perp| - k |H|^2 + eps and "fsigma" = pinch_num / |H|^(2(1-sigma)),
+    NaN where |H| <= tol_h.  k, eps and sigma only enter q and fsigma.
+    """
+    out = field_scalars(h, a, b, c)
+    kperp_abs = np.abs(out["normal_kperp"])
+    out["h"] = h
+    out["kperp_abs"] = kperp_abs
+    out["q"] = out["norm_a2"] + 2 * gamma * kperp_abs - k * h * h + eps
+    out["pinch_num"] = out["norm_acirc2"] + 2 * gamma * kperp_abs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out["fsigma"] = np.where(h > tol_h, out["pinch_num"] / h ** (2 * (1 - sigma)), np.nan)
+    return out
 
 
 def _gram(comp: np.ndarray) -> np.ndarray:
@@ -290,21 +282,26 @@ def _kperp_reaction(comp: np.ndarray, H: np.ndarray) -> float:
     return float(m[0, 1] - m[1, 0])
 
 
+def tensor_z_batch(comp, mean_curv):
+    """Nonlinearity of the contracted Simons identity, as raw tensor sums.
+
+    comp is (n, 2, 2, alpha) and mean_curv (n, 2); returns (n,) values.
+    """
+    cubic = np.einsum("na,nipa,nijb,npjb->n", mean_curv, comp, comp, comp)
+    gram = np.einsum("nija,nijb->nab", comp, comp)
+    rp = np.einsum("nipa,njpb->nijab", comp, comp)
+    rperp = rp - rp.transpose(0, 2, 1, 3, 4)
+    return cubic - np.einsum("nab,nab->n", gram, gram) - np.einsum("nijab,nijab->n", rperp, rperp)
+
+
 def simons_z_tensor(t: ShapeTensor) -> float:
     """Nonlinearity of the contracted Simons identity, as raw tensor sums."""
-    comp = t.components
-    H = t.mean_curvature
-    cubic = float(np.einsum("a,ipa,ijb,pjb->", H, comp, comp, comp))
-    gram = _gram(comp)
-    rp = np.einsum("ipa,jpb->ijab", comp, comp)
-    rperp = rp - rp.transpose(1, 0, 2, 3)
-    return cubic - float(np.sum(gram * gram)) - float(np.sum(rperp * rperp))
+    return float(tensor_z_batch(t.components[None], t.mean_curvature[None])[0])
 
 
 def simons_z_closed(s: SpecialFrameState) -> float:
     """Closed form of the Simons nonlinearity: 2 K |A-circ|^2 - 2 (K-perp)^2."""
-    sc = scalars(s)
-    return 2 * sc.gauss_k * sc.norm_acirc2 - 2 * sc.normal_kperp ** 2
+    return float(field_scalars(s.h, s.a, s.b, s.c)["simons_z"])
 
 
 def pinch_q(s: SpecialFrameState, k: float, gamma: float, eps: float = 0.0) -> float:
@@ -312,8 +309,7 @@ def pinch_q(s: SpecialFrameState, k: float, gamma: float, eps: float = 0.0) -> f
 
     Q < 0 is the curvature condition whose preservation the flow monitors.
     """
-    sc = scalars(s)
-    return sc.norm_a2 + 2 * gamma * abs(sc.normal_kperp) - k * s.h * s.h + eps
+    return float(pinching_fields(s.h, s.a, s.b, s.c, gamma, k=k, eps=eps)["q"])
 
 
 def f_sigma(s: SpecialFrameState, sigma: float, gamma: float, tol_h: float = TOL_H) -> float:
@@ -322,9 +318,7 @@ def f_sigma(s: SpecialFrameState, sigma: float, gamma: float, tol_h: float = TOL
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
     if s.h <= tol_h:
         raise DegenerateMeanCurvature(f"|H| = {s.h:.3e} <= {tol_h:.3e}")
-    sc = scalars(s)
-    num = sc.norm_acirc2 + 2 * gamma * abs(sc.normal_kperp)
-    return num / s.h ** (2 * (1 - sigma))
+    return float(pinching_fields(s.h, s.a, s.b, s.c, gamma, sigma=sigma, tol_h=tol_h)["fsigma"])
 
 
 def z_lower_bound_ratio(s: SpecialFrameState, gamma: float, tol_h: float = TOL_H) -> float:
@@ -335,12 +329,11 @@ def z_lower_bound_ratio(s: SpecialFrameState, gamma: float, tol_h: float = TOL_H
     """
     if s.h <= tol_h:
         raise DegenerateMeanCurvature(f"|H| = {s.h:.3e} <= {tol_h:.3e}")
-    sc = scalars(s)
-    denom = (sc.norm_acirc2 + 2 * gamma * abs(sc.normal_kperp)) * s.h * s.h
-    if denom <= TOL_FRAME_REL * (sc.norm_a2 + s.h * s.h) ** 2:
+    pf = pinching_fields(s.h, s.a, s.b, s.c, gamma)
+    denom = float(pf["pinch_num"]) * s.h * s.h
+    if denom <= TOL_FRAME_REL * (float(pf["norm_a2"]) + s.h * s.h) ** 2:
         raise UmbilicPoint("pinching numerator vanishes; ratio undefined")
-    z = 2 * sc.gauss_k * sc.norm_acirc2 - 2 * sc.normal_kperp ** 2
-    return z / denom
+    return float(pf["simons_z"]) / denom
 
 
 def frame_dump(s: SpecialFrameState) -> dict:

@@ -16,12 +16,13 @@ Poincare-type inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .certifier import epsilon_z_scan
-from .curvature import TOL_H, field_scalars
+from .curvature import TOL_H, pinching_fields
 from .errors import (
     EpsilonZNotPositive,
     InsufficientDynamicRange,
@@ -43,7 +44,8 @@ class FlowConfig:
     sigma: float = 0.05
     p: float = 10.0
     cfl: float = 0.2
-    stop_a2: float | None = None        # defaults to 1e4 x initial max |A|^2
+    stop_a2: float | None = None        # defaults to stop_factor x initial max |A|^2
+    stop_factor: float = 1e4
     max_steps: int = 100_000
     output_every: int = 1
     eta: float = 1.0
@@ -54,6 +56,17 @@ class FlowConfig:
     redistribution: float = 0.2         # per-step tangential relaxation factor
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.default is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{f.name} must be a number, got {v!r}")
+        for name, low in (("max_steps", 0), ("output_every", 1), ("poincare_every", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not self.stop_factor > 0:
+            raise ValueError(f"stop_factor must be positive, got {self.stop_factor}")
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl}")
         if self.gamma is None:
@@ -86,14 +99,6 @@ class TraceRow:
     # extra diagnostics not part of the CSV contract
     maxH: float = 0.0
     maxPinchNumerator: float = 0.0
-
-    def nan_columns(self) -> list:
-        out = []
-        for col in TRACE_COLUMNS:
-            val = getattr(self, col)
-            if isinstance(val, float) and math.isnan(val):
-                out.append(col)
-        return out
 
 
 @dataclass
@@ -136,20 +141,6 @@ class FlowTrace:
         return tr
 
 
-def _vertex_fields(mesh: SurfaceMesh, cfg: FlowConfig) -> dict:
-    h, a, b, c = mesh.frame_h, mesh.frame_a, mesh.frame_b, mesh.frame_c
-    sc = field_scalars(h, a, b, c)
-    out = dict(sc)
-    out["h"] = h
-    out["q"] = sc["norm_a2"] + 2 * cfg.gamma * np.abs(sc["normal_kperp"]) - cfg.k * h * h + cfg.eps
-    out["pinch_num"] = sc["norm_acirc2"] + 2 * cfg.gamma * np.abs(sc["normal_kperp"])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out["fsigma"] = np.where(h > TOL_H,
-                                 out["pinch_num"] / h ** (2 * (1 - cfg.sigma)),
-                                 np.nan)
-    return out
-
-
 def poincare_check(mesh: SurfaceMesh, p: float, eta: float, sigma: float,
                    gamma: float, epsilon_z: float) -> tuple[float, float]:
     """Both sides of the Poincare-type integral inequality on the mesh.
@@ -167,9 +158,7 @@ def poincare_check(mesh: SurfaceMesh, p: float, eta: float, sigma: float,
     h = mesh.frame_h
     if np.nanmin(h) <= TOL_H:
         raise ValueError("mean curvature vanishes somewhere; f_sigma undefined")
-    acirc2 = 2 * (mesh.frame_a ** 2 + mesh.frame_b ** 2 + mesh.frame_c ** 2)
-    num = acirc2 + 2 * gamma * np.abs(2 * mesh.frame_a * mesh.frame_c)
-    f = num / h ** (2 * (1 - sigma))
+    f = pinching_fields(h, mesh.frame_a, mesh.frame_b, mesh.frame_c, gamma, sigma=sigma)["fsigma"]
     area = mesh.vertex_area
     grad_a2 = shape_gradient_norm2(mesh)
     grad_f = vertex_gradients(mesh, f)
@@ -187,7 +176,8 @@ def monitors(mesh: SurfaceMesh, cfg: FlowConfig, t: float, r0: float,
     """One trace row of the pinching and decay monitors."""
     if not mesh.geometry_recovered:
         recover_geometry(mesh)
-    fields_ = _vertex_fields(mesh, cfg)
+    fields_ = pinching_fields(mesh.frame_h, mesh.frame_a, mesh.frame_b, mesh.frame_c,
+                              cfg.gamma, k=cfg.k, eps=cfg.eps, sigma=cfg.sigma)
     area = mesh.vertex_area
     na2 = fields_["norm_a2"]
     h = fields_["h"]
@@ -196,7 +186,6 @@ def monitors(mesh: SurfaceMesh, cfg: FlowConfig, t: float, r0: float,
     max_h = float(np.nanmax(h))
     pos_slack = r0 * r0 - 4.0 * t - float(np.max(np.einsum("ni,ni->n", mesh.vertices, mesh.vertices)))
 
-    kperp_abs = np.abs(fields_["normal_kperp"])
     denom = fields_["pinch_num"] * h * h
     eligible = (na2 < (5.0 / 6.0) * h * h) & (denom > 1e-14 * (1 + na2 + h * h) ** 2)
     if eligible.any():
@@ -205,15 +194,14 @@ def monitors(mesh: SurfaceMesh, cfg: FlowConfig, t: float, r0: float,
     else:
         z_ratio_min = float("nan")
 
+    poincare_slack = float("nan")
     if with_poincare:
         try:
             lhs, rhs = poincare_check(mesh, cfg.p, cfg.eta, cfg.sigma, cfg.gamma,
                                       cfg.resolved_epsilon_z())
             poincare_slack = rhs - lhs
         except ValueError:
-            poincare_slack = float("nan")
-    else:
-        poincare_slack = float("nan")
+            pass
 
     return TraceRow(
         step=step, t=t, dt=dt,
@@ -330,7 +318,7 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig, snapshot_factor: float = 2.0) -
     cfg.resolved_epsilon_z()
     r0 = float(np.sqrt(np.max(np.einsum("ni,ni->n", mesh.vertices, mesh.vertices))))
     max_a2 = float(np.max(mesh.norm_a2()))
-    stop_a2 = cfg.stop_a2 if cfg.stop_a2 is not None else 1e4 * max_a2
+    stop_a2 = cfg.stop_a2 if cfg.stop_a2 is not None else cfg.stop_factor * max_a2
 
     trace = FlowTrace()
     trace.append(monitors(mesh, cfg, 0.0, r0, step=0, dt=0.0, with_poincare=True))
@@ -372,7 +360,7 @@ class RescaledSnapshot:
     mesh: SurfaceMesh      # recentered, scaled, geometry recovered
     max_h: float           # of the rescaled mesh; should sit near 1
     max_pinch_numerator: float
-    fields: dict           # per-vertex arrays on the rescaled mesh
+    fields: dict           # pinching_fields of the rescaled mesh
 
 
 def type_i_rescale(snapshots: list, stop_a2: float, gamma: float,
@@ -400,15 +388,12 @@ def type_i_rescale(snapshots: list, stop_a2: float, gamma: float,
         lam = float(mesh.frame_h[i])
         scaled = mesh.with_vertices(lam * (mesh.vertices - mesh.vertices[i]))
         recover_geometry(scaled)
-        acirc2 = 2 * (scaled.frame_a ** 2 + scaled.frame_b ** 2 + scaled.frame_c ** 2)
-        kperp = np.abs(2 * scaled.frame_a * scaled.frame_c)
-        num = acirc2 + 2 * gamma * kperp
+        pf = pinching_fields(scaled.frame_h, scaled.frame_a, scaled.frame_b, scaled.frame_c, gamma)
         out.append(RescaledSnapshot(
             step=snap.step, t=snap.t, lam=lam, center_index=i, mesh=scaled,
             max_h=float(np.nanmax(scaled.frame_h)),
-            max_pinch_numerator=float(np.nanmax(num)),
-            fields={"acirc2": acirc2, "kperp_abs": kperp, "pinch_num": num,
-                    "h": scaled.frame_h},
+            max_pinch_numerator=float(np.nanmax(pf["pinch_num"])),
+            fields=pf,
         ))
     return out
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import SpecialFrameState
+from .curvature import SpecialFrameState, field_scalars, lift
 
 # multiplicity of each symmetric pattern (count of distinct index orders)
 _WEIGHTS = np.array([1.0, 3.0, 3.0, 1.0])
@@ -45,9 +45,6 @@ class GradientState:
         n2 = (i == 1) + (j == 1) + (k == 1)
         return (self.u, self.v)[alpha][n2]
 
-    def scaled(self, lam: float) -> "GradientState":
-        return GradientState(self.u * lam, self.v * lam)
-
 
 @dataclass(frozen=True)
 class GradientSlacks:
@@ -58,17 +55,42 @@ class GradientSlacks:
     kperp_evol_bound: float  # |DA|^2 - 2 * evol cross term of K-perp
 
 
+def gradient_norms(u, v):
+    """|DA|^2 (multiplicities 1, 3, 3, 1) and |DH|^2 for components of shape (..., 4).
+
+    |DH|^2 comes from the Codazzi-tensor traces D_i H_alpha = sum_k D_i h_{kk,alpha}.
+    """
+    na2 = (u * u) @ _WEIGHTS + (v * v) @ _WEIGHTS
+    nh2 = ((u[..., 0] + u[..., 2]) ** 2 + (u[..., 1] + u[..., 3]) ** 2
+           + (v[..., 0] + v[..., 2]) ** 2 + (v[..., 1] + v[..., 3]) ** 2)
+    return na2, nh2
+
+
+def trace_part(x):
+    """Trace part E of one normal slot of DA, for components of shape (..., 4)."""
+    w1, w2 = x[..., 0] + x[..., 2], x[..., 1] + x[..., 3]
+    return np.stack([0.75 * w1, 0.25 * w2, 0.25 * w1, 0.75 * w2], axis=-1)
+
+
+def kperp_cross(u, v):
+    """Gradient cross term in the evolution of the normal curvature, shape (..., 4) inputs.
+
+    Closed form of sum_{p,q} (D_q h_{1p,1} D_q h_{2p,2} - D_q h_{2p,1} D_q h_{1p,2})
+    after total symmetry is applied.
+    """
+    return (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+            + 2 * (u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1])
+            + u[..., 2] * v[..., 3] - u[..., 3] * v[..., 2])
+
+
 def norm_grad_a2(g: GradientState) -> float:
     """|DA|^2 with symmetric-pattern multiplicities (1, 3, 3, 1)."""
-    return float(_WEIGHTS @ (g.u * g.u) + _WEIGHTS @ (g.v * g.v))
+    return float(gradient_norms(g.u, g.v)[0])
 
 
 def norm_grad_h2(g: GradientState) -> float:
     """|DH|^2 from the Codazzi-tensor traces D_i H_alpha = sum_k D_i h_{kk,alpha}."""
-    tot = 0.0
-    for x in (g.u, g.v):
-        tot += (x[0] + x[2]) ** 2 + (x[1] + x[3]) ** 2
-    return float(tot)
+    return float(gradient_norms(g.u, g.v)[1])
 
 
 def inner(g1: GradientState, g2: GradientState) -> float:
@@ -82,23 +104,14 @@ def decompose_ef(g: GradientState) -> tuple[GradientState, GradientState]:
     split is orthogonal with |E|^2 = (3/4)|DH|^2, which is also the content
     of the first gradient inequality.
     """
-    parts = []
-    for x in (g.u, g.v):
-        w1, w2 = x[0] + x[2], x[1] + x[3]
-        parts.append(np.array([0.75 * w1, 0.25 * w2, 0.25 * w1, 0.75 * w2]))
-    e = GradientState(parts[0], parts[1])
+    e = GradientState(trace_part(g.u), trace_part(g.v))
     f = GradientState(g.u - e.u, g.v - e.v)
     return e, f
 
 
 def nabla_evol_kperp(g: GradientState) -> float:
-    """Gradient cross term in the evolution of the normal curvature.
-
-    Closed form of sum_{p,q} (D_q h_{1p,1} D_q h_{2p,2} - D_q h_{2p,1} D_q h_{1p,2})
-    after total symmetry is applied.
-    """
-    u, v = g.u, g.v
-    return float(u[0] * v[1] - u[1] * v[0] + 2 * (u[1] * v[2] - u[2] * v[1]) + u[2] * v[3] - u[3] * v[2])
+    """Gradient cross term in the evolution of the normal curvature (see kperp_cross)."""
+    return float(kperp_cross(g.u, g.v))
 
 
 def nabla_evol_kperp_raw(g: GradientState) -> float:
@@ -113,8 +126,7 @@ def nabla_evol_kperp_raw(g: GradientState) -> float:
 
 def check_gradient_inequalities(g: GradientState) -> GradientSlacks:
     """Slack (LHS - RHS) of the three gradient estimates; all should be >= 0."""
-    na2 = norm_grad_a2(g)
-    nh2 = norm_grad_h2(g)
+    na2, nh2 = gradient_norms(g.u, g.v)
     return GradientSlacks(
         trace_bound=na2 - 0.75 * nh2,
         traceless_bound=na2 - 0.5 * nh2 - na2 / 3.0,
@@ -128,10 +140,7 @@ def grad_kperp(s: SpecialFrameState, g: GradientState) -> np.ndarray:
     Every term carries a traceless curvature factor, so the gradient
     vanishes at umbilic points regardless of g.
     """
-    h, a, b, c = s.h, s.a, s.b, s.c
-    comp = np.empty((2, 2, 2))
-    comp[:, :, 0] = [[h / 2 + a, 0.0], [0.0, h / 2 - a]]
-    comp[:, :, 1] = [[b, c], [c, -b]]
+    comp = lift(s).components
     out = np.zeros(2)
     for q in range(2):
         tot = 0.0
@@ -146,14 +155,9 @@ def grad_kperp_bound(s: SpecialFrameState, g: GradientState) -> tuple[float, flo
     """Returns (|grad K-perp|, 4 |A-circ| |DA|); the first never exceeds the second."""
     gk = grad_kperp(s, g)
     lhs = float(np.hypot(gk[0], gk[1]))
-    acirc = np.sqrt(2 * s.a ** 2 + 2 * s.b ** 2 + 2 * s.c ** 2)
+    acirc = np.sqrt(field_scalars(s.h, s.a, s.b, s.c)["norm_acirc2"])
     rhs = 4.0 * float(acirc) * np.sqrt(norm_grad_a2(g))
     return lhs, float(rhs)
-
-
-def random_states(rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, 8) array of i.i.d. standard normal gradient components."""
-    return rng.standard_normal((count, 8))
 
 
 def sweep_inequalities(samples: np.ndarray) -> dict:
@@ -165,13 +169,8 @@ def sweep_inequalities(samples: np.ndarray) -> dict:
     """
     u = samples[:, :4]
     v = samples[:, 4:]
-    w = _WEIGHTS
-    na2 = (u * u) @ w + (v * v) @ w
-    nh2 = (u[:, 0] + u[:, 2]) ** 2 + (u[:, 1] + u[:, 3]) ** 2
-    nh2 = nh2 + (v[:, 0] + v[:, 2]) ** 2 + (v[:, 1] + v[:, 3]) ** 2
-    cross = (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-             + 2 * (u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1])
-             + u[:, 2] * v[:, 3] - u[:, 3] * v[:, 2])
+    na2, nh2 = gradient_norms(u, v)
+    cross = kperp_cross(u, v)
     scale = np.maximum(na2, 1e-300)
     slacks = {
         "grad_trace_bound": (na2 - 0.75 * nh2) / scale,
@@ -185,42 +184,11 @@ def sweep_inequalities(samples: np.ndarray) -> dict:
     return out
 
 
-def min_slack_kperp_evol(rng: np.random.Generator, count: int = 10 ** 6,
-                         refine_rounds: int = 8) -> float:
-    """Sampled minimum slack of the third inequality on the |DA|^2 = 1 sphere.
-
-    Random search plus shrinking Gaussian refinement around the incumbent;
-    the exact minimum (an 8x8 eigenvalue problem) is zero, so this reports
-    how tight sampling alone gets.
-    """
-    def slack(x):
-        u, v = x[:, :4], x[:, 4:]
-        na2 = (u * u) @ _WEIGHTS + (v * v) @ _WEIGHTS
-        cross = (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-                 + 2 * (u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1])
-                 + u[:, 2] * v[:, 3] - u[:, 3] * v[:, 2])
-        return (na2 - 2 * cross) / na2
-
-    x = rng.standard_normal((count, 8))
-    s = slack(x)
-    best_i = int(np.argmin(s))
-    best, best_x = float(s[best_i]), x[best_i]
-    radius = 0.3
-    for _ in range(refine_rounds):
-        x = best_x + radius * rng.standard_normal((4096, 8))
-        s = slack(x)
-        i = int(np.argmin(s))
-        if s[i] < best:
-            best, best_x = float(s[i]), x[i]
-        radius *= 0.5
-    return best
-
-
 def exact_min_slack_kperp_evol() -> float:
     """Exact minimum slack of the third inequality on the unit sphere.
 
     Solves the symmetric 8x8 eigenvalue problem for the cross-term quadratic
-    form in the weighted metric; confirmation for the sampled minimum.
+    form in the weighted metric.
     """
     w = np.concatenate([_WEIGHTS, _WEIGHTS])
     # cross term as a symmetric bilinear form on (u, v)

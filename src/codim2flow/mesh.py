@@ -15,7 +15,6 @@ dynamics, and their agreement on exact shapes is itself a regression check.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -488,6 +487,22 @@ def _polar_orthogonalize(mats: np.ndarray) -> np.ndarray:
     return np.where((det >= 0)[..., None, None], rot, ref)
 
 
+def _ring1_gradients(mesh: SurfaceMesh, diffs: np.ndarray) -> np.ndarray:
+    """Least-squares tangent gradients from (n, k, p) 1-ring differences; (n, 2, p).
+
+    Fits over each vertex's 1-ring in its tangent coordinates; padded ring
+    slots carry zero weight.
+    """
+    topo = mesh._topo
+    idx1, mask1 = topo["ring1_idx"], topo["ring1_mask"]
+    d = mesh.vertices[idx1] - mesh.vertices[:, None, :]
+    x = np.einsum("nki,nia->nka", d, mesh.tangent)
+    w = mask1.astype(float)
+    g2 = np.einsum("nk,nka,nkb->nab", w, x, x) + 1e-300 * np.eye(2)
+    rhs = np.einsum("nka,nkp->nap", x * w[:, :, None], diffs)
+    return np.linalg.solve(g2, rhs)
+
+
 def vertex_gradients(mesh: SurfaceMesh, values: np.ndarray) -> np.ndarray:
     """Least-squares tangent gradient of per-vertex scalar fields.
 
@@ -498,15 +513,8 @@ def vertex_gradients(mesh: SurfaceMesh, values: np.ndarray) -> np.ndarray:
         raise RuntimeError("recover_geometry must run first")
     squeeze = values.ndim == 1
     vals = values[:, None] if squeeze else values
-    topo = mesh._topo
-    idx1, mask1 = topo["ring1_idx"], topo["ring1_mask"]
-    d = mesh.vertices[idx1] - mesh.vertices[:, None, :]
-    x = np.einsum("nki,nia->nka", d, mesh.tangent)
-    w = mask1.astype(float)
-    g2 = np.einsum("nk,nka,nkb->nab", w, x, x)
-    g2 = g2 + 1e-300 * np.eye(2)
-    rhs = np.einsum("nka,nkp->nap", x * w[:, :, None], vals[idx1] - vals[:, None, :])
-    grad = np.linalg.solve(g2, rhs)
+    idx1 = mesh._topo["ring1_idx"]
+    grad = _ring1_gradients(mesh, vals[idx1] - vals[:, None, :])
     return grad[:, :, 0] if squeeze else grad
 
 
@@ -519,8 +527,7 @@ def shape_gradient_norm2(mesh: SurfaceMesh) -> np.ndarray:
     """
     if not mesh.geometry_recovered:
         raise RuntimeError("recover_geometry must run first")
-    topo = mesh._topo
-    idx1, mask1 = topo["ring1_idx"], topo["ring1_mask"]
+    idx1 = mesh._topo["ring1_idx"]
 
     t_v = mesh.tangent[:, None, :, :]           # (n, 1, 4, 2)
     t_u = mesh.tangent[idx1]                    # (n, k, 4, 2)
@@ -533,16 +540,10 @@ def shape_gradient_norm2(mesh: SurfaceMesh) -> np.ndarray:
     q_t = np.einsum("nkip,nkjq,nkab,nkpqb->nkija", mt, mt, mn, q_u)
     dq = q_t - mesh.shape[:, None, :, :, :]
 
-    d = mesh.vertices[idx1] - mesh.vertices[:, None, :]
-    x = np.einsum("nki,nia->nka", d, mesh.tangent)
-    w = mask1.astype(float)
-    g2 = np.einsum("nk,nka,nkb->nab", w, x, x) + 1e-300 * np.eye(2)
-
     # 6 independent components with multiplicities (1, 2, 1) per normal slot
     comps = np.stack([dq[:, :, 0, 0, 0], dq[:, :, 0, 1, 0], dq[:, :, 1, 1, 0],
                       dq[:, :, 0, 0, 1], dq[:, :, 0, 1, 1], dq[:, :, 1, 1, 1]], axis=2)
-    rhs = np.einsum("nka,nkp->nap", x * w[:, :, None], comps)
-    grad = np.linalg.solve(g2, rhs)             # (n, 2, 6)
+    grad = _ring1_gradients(mesh, comps)        # (n, 2, 6)
     mult = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
     return np.einsum("nap,p->n", grad * grad, mult)
 
@@ -580,16 +581,3 @@ def read_off4(path, require_closed: bool = True) -> SurfaceMesh:
     except IndexError:
         raise ValueError(f"truncated OFF4 file: {path}") from None
     return SurfaceMesh(verts, np.array(tris), require_closed=require_closed)
-
-
-def mesh_to_json(mesh: SurfaceMesh) -> str:
-    return json.dumps({
-        "vertices": mesh.vertices.tolist(),
-        "triangles": mesh.triangles.tolist(),
-    })
-
-
-def mesh_from_json(blob: str, require_closed: bool = True) -> SurfaceMesh:
-    data = json.loads(blob)
-    return SurfaceMesh(np.array(data["vertices"]), np.array(data["triangles"]),
-                       require_closed=require_closed)

@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 from codim2flow.certifier import (
     ConeSample,
-    best_grouping,
     certify_negativity,
     epsilon_z_scan,
     gamma_for_k,
-    grouped_brackets,
-    grouped_form_value,
     reaction_at_zero_q,
     reaction_expression,
     threshold_scan,
@@ -126,67 +123,6 @@ def test_strictly_decreasing_in_eps(a, b, c, k):
 
 
 # ---------------------------------------------------------------------------
-# grouped quadratic-form bound
-
-
-def test_grouped_form_zero_when_a_and_c_vanish():
-    s = ConeSample(0.0, 1.3, 0.0, 0.0, k=0.7, gamma=gamma_for_k(0.7))
-    assert grouped_form_value(s, 0.3, 0.8) == 0.0
-
-
-def test_grouped_form_hand_value():
-    # b = 0 makes the grouped bound coincide with the exact reaction
-    s = ConeSample(1.0, 0.0, 0.5, 0.0, k=29 / 40, gamma=1 / 30)
-    got = grouped_form_value(s, 0.5, 0.5)
-    assert got == pytest.approx(float(F(263, 405)), rel=1e-12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(abc, abc, abc, kst,
-       st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
-def test_grouped_dominates_exact_reaction(a, b, c, k, e1, e2):
-    g = gamma_for_k(k)
-    s = ConeSample(a, b, c, 0.0, k, g)
-    assert grouped_form_value(s, e1, e2) >= reaction_at_zero_q(s) - 1e-10 * (1 + abs(a) + abs(b) + abs(c)) ** 4
-
-
-@settings(max_examples=100, deadline=None)
-@given(abc, abc, abc, kst,
-       st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1),
-       st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
-def test_grouped_total_is_eta_independent(a, b, c, k, e1, e2, f1, f2):
-    g = gamma_for_k(k)
-    s = ConeSample(a, b, c, 0.0, k, g)
-    v1 = grouped_form_value(s, e1, e2)
-    v2 = grouped_form_value(s, f1, f2)
-    assert v1 == pytest.approx(v2, rel=1e-10, abs=1e-10)
-
-
-def test_grouped_brackets_validate_eta():
-    s = ConeSample(1, 0, 1, 0.0, k=0.7, gamma=gamma_for_k(0.7))
-    with pytest.raises(ValueError):
-        grouped_brackets(s, -0.1, 0.5)
-    with pytest.raises(ValueError):
-        grouped_brackets(s, 0.5, 1.1)
-
-
-def test_best_grouping_runs_and_reports():
-    e1, e2, worst = best_grouping(0.66, gamma_for_k(0.66), eta_res=6, sphere_res=48)
-    assert 0 <= e1 <= 1 and 0 <= e2 <= 1
-    assert np.isfinite(worst)
-
-
-def test_grouping_regime_boundary():
-    # the split-both-brackets-nonpositive strategy works while the squared
-    # normal-curvature coefficient stays nonpositive (k below ~0.6704 when
-    # gamma tracks the gradient budget), and cannot work above it
-    _, _, worst_low = best_grouping(0.66, gamma_for_k(0.66), eta_res=11, sphere_res=64)
-    assert worst_low <= 0
-    _, _, worst_high = best_grouping(29 / 40, gamma_for_k(29 / 40), eta_res=11, sphere_res=64)
-    assert worst_high > 0
-
-
-# ---------------------------------------------------------------------------
 # certification sweeps
 
 
@@ -228,6 +164,16 @@ def test_certify_k1_gamma1_identically_zero(rng):
 def test_threshold_scan_bracket_guard():
     with pytest.raises(BracketInvalid):
         threshold_scan(0.55, 0.6, tol_k=1e-2, grid=64, random_samples=10_000)
+
+
+def test_threshold_scan_rejects_bad_tolerance_and_bracket_order():
+    # a zero or negative tolerance would bisect forever once lo and hi are adjacent floats
+    for tol in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError):
+            threshold_scan(0.66, 0.75, tol_k=tol, grid=64, random_samples=1000)
+    for lo, hi in ((0.75, 0.66), (0.7, 0.7)):
+        with pytest.raises(BracketInvalid):
+            threshold_scan(lo, hi, tol_k=1e-3, grid=64, random_samples=1000)
 
 
 def test_threshold_scan_locates_sign_change():

@@ -248,6 +248,21 @@ def test_empty_off4_is_config_error(tmp_path):
     assert main(["rescale", "--run", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("bad", [{"output_every": 0}, {"poincare_every": 0},
+                                 {"max_steps": -1}, {"cfl": '"abc"'}])
+def test_bad_flow_config_values_are_config_errors(tmp_path, bad):
+    cfg = tiny_scenario(tmp_path, **bad)
+    assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 2
+
+
+def test_cmd_scan_nonpositive_tolerance_is_config_error():
+    for tol in ("0", "-0.001"):
+        assert main(["scan", "--k-low", "0.66", "--k-high", "0.75", "--tol", tol,
+                     "--grid", "64", "--samples", "1000"]) == 2
+    assert main(["scan", "--k-low", "0.75", "--k-high", "0.66", "--grid", "64",
+                 "--samples", "1000"]) == 2
+
+
 def test_usage_error_exit_code():
     assert main(["not-a-command"]) == 2
 
@@ -265,10 +280,19 @@ def test_cmd_flow_parallel_jobs(tmp_path):
 
 
 def test_console_script_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import codim2flow
+    # the child imports the same checkout as this suite, also when only
+    # pytest's own pythonpath setting put it on sys.path
+    src = str(Path(codim2flow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "codim2flow.cli",
                            "identities", "--count", "0"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True

@@ -156,6 +156,21 @@ def test_batched_frame_fields_match_scalar_path(rng):
         assert c[i] == pytest.approx(s.c, rel=1e-10, abs=1e-12)
 
 
+def test_umbilic_representative_matches_batched_path(rng):
+    # umbilic A1 (a = 0) leaves the sign of b to convention; the scalar and
+    # batched reductions must pick the same representative, b >= 0
+    states = [(0.7375, 0.0, -0.4821, 0.5988)] + [
+        (abs(rng.standard_normal()) + 0.1, 0.0, *rng.standard_normal(2)) for _ in range(50)]
+    for h, a, b, c in states:
+        t = conjugate(lift(SpecialFrameState(h, a, b, c)),
+                      rot2(rng.uniform(0, 2 * math.pi)), rot2(rng.uniform(0, 2 * math.pi)))
+        s = to_special_frame(t)
+        hb, ab, bb, cb = special_frame_fields(t.components[None], t.mean_curvature[None])
+        assert s.c == 0.0 and cb[0] == 0.0
+        assert s.b == pytest.approx(bb[0], rel=1e-12)
+        assert s.b == pytest.approx(math.hypot(b, c), rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # scalars
 

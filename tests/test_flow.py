@@ -218,14 +218,6 @@ def test_clifford_monitor_flags_hypothesis_violation():
     assert row.maxQ == pytest.approx((1 - 29 / 40) * 2.0, rel=0.05)
 
 
-def test_nan_columns_flagged():
-    m = icosphere(1.0, 2)
-    recover_geometry(m)
-    row = monitors(m, small_cfg(), 0.0, r0=1.0, with_poincare=False)
-    assert "poincareSlack" in row.nan_columns()
-    assert "maxQ" not in row.nan_columns()
-
-
 def test_z_ratio_monitor_positive_on_pinched_data(pinched_run):
     z = pinched_run.trace.column("zRatioMin")
     z = z[~np.isnan(z)]

@@ -12,7 +12,6 @@ from codim2flow.gradients import (
     grad_kperp,
     grad_kperp_bound,
     inner,
-    min_slack_kperp_evol,
     nabla_evol_kperp,
     nabla_evol_kperp_raw,
     norm_grad_a2,
@@ -137,11 +136,8 @@ def test_kperp_evol_equality_family():
         assert abs(sl.kperp_evol_bound) <= 1e-12 * (1 + norm_grad_a2(g))
 
 
-def test_min_slack_kperp_evol_near_tight(rng):
-    exact = exact_min_slack_kperp_evol()
-    assert exact == pytest.approx(0.0, abs=1e-12)
-    sampled = min_slack_kperp_evol(rng, count=200_000)
-    assert 0.0 <= sampled < 0.05
+def test_exact_min_slack_kperp_evol_is_zero():
+    assert exact_min_slack_kperp_evol() == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

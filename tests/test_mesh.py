@@ -9,8 +9,6 @@ from codim2flow.errors import DegenerateNeighborhood, NonManifoldMesh
 from codim2flow.mesh import (
     SurfaceMesh,
     _jet_fit,
-    mesh_from_json,
-    mesh_to_json,
     read_off4,
     recover_geometry,
     shape_gradient_norm2,
@@ -339,11 +337,3 @@ def test_off4_rejects_wrong_header(tmp_path):
     path.write_text("OFF\n1 0 0\n0 0 0\n")
     with pytest.raises(ValueError):
         read_off4(path)
-
-
-def test_json_round_trip():
-    m = product_torus(1.0, 0.6, 12, 10)
-    blob = mesh_to_json(m)
-    m2 = mesh_from_json(blob)
-    assert np.array_equal(m.vertices, m2.vertices)
-    assert np.array_equal(m.triangles, m2.triangles)
