@@ -69,6 +69,10 @@ class FlowConfig:
             raise ValueError(f"stop_factor must be positive, got {self.stop_factor}")
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl}")
+        # what poincare_check needs; the monitor would otherwise log NaN
+        if not (self.p >= 2 and self.eta > 0 and 0 <= self.sigma < 1):
+            raise ValueError(f"need p >= 2, eta > 0 and 0 <= sigma < 1, got p = {self.p}, "
+                             f"eta = {self.eta}, sigma = {self.sigma}")
         if self.gamma is None:
             self.gamma = 1.0 - 4.0 * self.k / 3.0
 
@@ -127,19 +131,6 @@ class FlowTrace:
                     vals.append(str(v) if isinstance(v, int) else repr(float(v)))
                 fh.write(",".join(vals) + "\n")
 
-    @staticmethod
-    def from_csv(path) -> "FlowTrace":
-        tr = FlowTrace()
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if header != TRACE_COLUMNS:
-                raise ValueError(f"unexpected trace header: {header}")
-            for line in fh:
-                vals = line.strip().split(",")
-                kw = {c: (int(v) if c == "step" else float(v)) for c, v in zip(TRACE_COLUMNS, vals)}
-                tr.rows.append(TraceRow(**kw))
-        return tr
-
 
 def poincare_check(mesh: SurfaceMesh, p: float, eta: float, sigma: float,
                    gamma: float, epsilon_z: float) -> tuple[float, float]:
@@ -179,7 +170,7 @@ def monitors(mesh: SurfaceMesh, cfg: FlowConfig, t: float, r0: float,
     fields_ = pinching_fields(mesh.frame_h, mesh.frame_a, mesh.frame_b, mesh.frame_c,
                               cfg.gamma, k=cfg.k, eps=cfg.eps, sigma=cfg.sigma)
     area = mesh.vertex_area
-    na2 = fields_["norm_a2"]
+    na2 = mesh.norm_a2()  # the |A|^2 of the stop rule, finite where the frame is not
     h = fields_["h"]
     f = fields_["fsigma"]
 
@@ -221,23 +212,18 @@ def monitors(mesh: SurfaceMesh, cfg: FlowConfig, t: float, r0: float,
 
 
 def _triangle_inverted(old: SurfaceMesh, new_vertices: np.ndarray) -> bool:
-    """True if any triangle flips orientation in its own old tangent basis."""
-    tri = old.triangles
-    p0 = old.vertices[tri]
-    u = p0[:, 1] - p0[:, 0]
-    v = p0[:, 2] - p0[:, 0]
-    nu = np.linalg.norm(u, axis=1, keepdims=True)
-    e1 = u / np.maximum(nu, 1e-300)
-    v_par = np.einsum("mi,mi->m", v, e1)[:, None] * e1
-    e2 = v - v_par
-    ne2 = np.linalg.norm(e2, axis=1, keepdims=True)
-    e2 = e2 / np.maximum(ne2, 1e-300)
-    pn = new_vertices[tri]
-    un = pn[:, 1] - pn[:, 0]
-    vn = pn[:, 2] - pn[:, 0]
-    ux, uy = np.einsum("mi,mi->m", un, e1), np.einsum("mi,mi->m", un, e2)
-    vx, vy = np.einsum("mi,mi->m", vn, e1), np.einsum("mi,mi->m", vn, e2)
-    signed = ux * vy - uy * vx
+    """True if any triangle flips orientation projected onto its old plane.
+
+    For the old edges u, v from corner 0 and the new ones u', v', the
+    Binet-Cauchy identity (u ^ v) . (u' ^ v') = (u . u')(v . v') - (u . v')(v . u')
+    is four times the old area times the signed area of the new triangle
+    projected onto the old plane.
+    """
+    p, q = old.vertices[old.triangles], new_vertices[old.triangles]
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    un, vn = q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]
+    signed = (np.einsum("mi,mi->m", u, un) * np.einsum("mi,mi->m", v, vn)
+              - np.einsum("mi,mi->m", u, vn) * np.einsum("mi,mi->m", v, un))
     return bool((signed <= 0).any())
 
 
@@ -278,6 +264,7 @@ def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
         if _triangle_inverted(mesh, cand):
             dt *= 0.5
             continue
+        # the area test fills the candidate's triangle cache for recover_geometry
         new_mesh = mesh.with_vertices(cand)
         if new_mesh.total_area() >= area0:
             dt *= 0.5
@@ -407,7 +394,8 @@ def decay_exponent_fit(trace: FlowTrace, min_samples: int = 20,
     the degenerate cap delta = 2 with c0 = 0.
     """
     max_a2 = trace.column("maxA2")
-    if len(max_a2) < min_samples or max_a2.max() < 100.0 * max_a2.min():
+    # written so that a NaN sample fails the range test
+    if len(max_a2) < min_samples or not max_a2.max() >= 100.0 * max_a2.min():
         raise InsufficientDynamicRange(
             f"{len(max_a2)} samples spanning {max_a2.max() / max_a2.min():.1f}x")
     num = trace.column("maxPinchNumerator")

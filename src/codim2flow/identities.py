@@ -71,15 +71,6 @@ def _curvature_sweeps(rng, count):
     i = int(np.argmax(dev))
     out.append(_entry("gauss_identity", count, dev[i], 1e-13, _witness((h, a, b, c), i)))
 
-    # |Rm_perp|^2 = 4 (K_perp)^2 and the traceless product identity
-    rm = 4 * (sc["normal_kperp"] * sc["normal_kperp"])
-    dev = np.abs(rm - 4 * sc["normal_kperp"] ** 2) / (1 + rm)
-    out.append(_entry("rm_perp_identity", count, dev.max(), 1e-14))
-    lhs = (2 * a * a) * (2 * b * b + 2 * c * c)
-    rhs = 4 * a * a * b * b + 4 * a * a * c * c
-    dev = np.abs(lhs - rhs) / (1 + np.abs(rhs))
-    out.append(_entry("traceless_product_identity", count, dev.max(), 1e-13))
-
     # R2 <= |A|^2 |H|^2
     c11 = h * h / 2 + 2 * a * a
     r2 = h * h * c11

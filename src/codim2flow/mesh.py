@@ -85,7 +85,8 @@ class SurfaceMesh:
         self.frame_a = None
         self.frame_b = None
         self.frame_c = None
-        self._total_area = None
+        # (areas, squared edge lengths, corner cotangents), filled by triangle_areas
+        self._tri = None
 
     # -- derived topology ---------------------------------------------------
 
@@ -119,18 +120,27 @@ class SurfaceMesh:
     # -- element quantities ---------------------------------------------------
 
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        u = p[:, 1] - p[:, 0]
-        v = p[:, 2] - p[:, 0]
-        uu = np.einsum("mi,mi->m", u, u)
-        vv = np.einsum("mi,mi->m", v, v)
-        uv = np.einsum("mi,mi->m", u, v)
-        return 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
+        """(m,) triangle areas; the first call measures every triangle once.
+
+        From each triangle's three edge vectors it caches the squared
+        length of the edge opposite each corner, the areas and the corner
+        cotangents (all intrinsic, so the same in R^4 as in R^3).  Caching
+        is safe because nothing assigns vertices after construction:
+        with_vertices returns a new mesh.
+        """
+        if self._tri is None:
+            p = self.vertices[self.triangles]
+            e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]      # edge opposite corner i
+            sq = np.einsum("mci,mci->mc", e, e)
+            # law of cosines: the dot product of the two edges at corner i
+            dots = 0.5 * sq.sum(axis=1, keepdims=True) - sq
+            area = 0.5 * np.sqrt(np.maximum(sq[:, 1] * sq[:, 2] - dots[:, 0] ** 2, 0.0))
+            cots = dots / np.maximum(2.0 * area, 1e-300)[:, None]
+            self._tri = (area, sq, cots)
+        return self._tri[0]
 
     def total_area(self) -> float:
-        """Sum of triangle areas; cached by recover_geometry."""
-        if self.geometry_recovered:
-            return self._total_area
+        """Sum of the triangle areas."""
         return float(self.triangle_areas().sum())
 
     def norm_a2(self) -> np.ndarray:
@@ -140,15 +150,9 @@ class SurfaceMesh:
         return np.einsum("nija,nija->n", self.shape, self.shape)
 
     def min_triangle_angle(self) -> float:
-        p = self.vertices[self.triangles]
-        angs = []
-        for i in range(3):
-            u = p[:, (i + 1) % 3] - p[:, i]
-            v = p[:, (i + 2) % 3] - p[:, i]
-            cosang = np.einsum("mi,mi->m", u, v) / np.maximum(
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1), 1e-300)
-            angs.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(np.min(angs))
+        """Smallest corner angle in radians: the arccotangent of the largest cotangent."""
+        self.triangle_areas()
+        return math.atan2(1.0, float(np.max(self._tri[2])))
 
 
 def _build_topology(n_vertices: int, triangles: np.ndarray, require_closed: bool) -> dict:
@@ -222,50 +226,28 @@ def _build_topology(n_vertices: int, triangles: np.ndarray, require_closed: bool
 # geometry recovery
 
 
-def _corner_cotangents(mesh: SurfaceMesh, area: np.ndarray) -> np.ndarray:
-    """(m, 3) cotangent of each triangle's interior angle at corner i."""
-    p = mesh.vertices[mesh.triangles]
-    cots = np.empty((mesh.n_triangles, 3))
-    for i in range(3):
-        u1 = p[:, (i + 1) % 3] - p[:, i]
-        u2 = p[:, (i + 2) % 3] - p[:, i]
-        cots[:, i] = np.einsum("mi,mi->m", u1, u2) / np.maximum(2.0 * area, 1e-300)
-    return cots
-
-
-def _mixed_voronoi_areas(mesh: SurfaceMesh, area: np.ndarray, cots: np.ndarray) -> np.ndarray:
+def _mixed_voronoi_areas(mesh: SurfaceMesh) -> np.ndarray:
     """Meyer-style mixed areas: Voronoi for non-obtuse corners, else split."""
-    tri = mesh.triangles
-    p = mesh.vertices[tri]
-    out = np.zeros(mesh.n_vertices)
-    sq = np.empty((tri.shape[0], 3))
-    for i in range(3):
-        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        sq[:, i] = np.einsum("mi,mi->m", e, e)  # squared edge opposite corner i
+    area, sq, cots = mesh._tri
+    sc = sq * cots
+    # Voronoi share of corner i: its two edges, each weighted by the cotangent opposite it
+    vor = 0.125 * (sc[:, [1, 2, 0]] + sc[:, [2, 0, 1]])
     obtuse = cots < 0
-    any_obtuse = obtuse.any(axis=1)
-    for i in range(3):
-        vor = 0.125 * (sq[:, (i + 1) % 3] * cots[:, (i + 1) % 3]
-                       + sq[:, (i + 2) % 3] * cots[:, (i + 2) % 3])
-        fallback = np.where(obtuse[:, i], 0.5 * area, 0.25 * area)
-        contrib = np.where(any_obtuse, fallback, vor)
-        np.add.at(out, tri[:, i], contrib)
-    return out
+    fallback = np.where(obtuse, 0.5, 0.25) * area[:, None]
+    contrib = np.where(obtuse.any(axis=1, keepdims=True), fallback, vor)
+    return np.bincount(mesh.triangles.ravel(), contrib.ravel(), minlength=mesh.n_vertices)
 
 
-def _cotan_mean_curvature(mesh: SurfaceMesh, cots: np.ndarray, areas: np.ndarray) -> np.ndarray:
-    """Delta_g F per vertex: the discrete mean curvature vector in R^4."""
+def _cotan_mean_curvature(mesh: SurfaceMesh) -> np.ndarray:
+    """Delta_g F per vertex, over the mixed areas: the discrete mean curvature vector in R^4."""
     v = mesh.vertices
-    tri = mesh.triangles
-    p = v[tri]
+    j, k = mesh.triangles[:, [1, 2, 0]], mesh.triangles[:, [2, 0, 1]]
+    # corner i's cotangent weights the opposite edge (j, k)
+    d = (v[k] - v[j]) * mesh._tri[2][:, :, None]
     acc = np.zeros_like(v)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        # corner i's cotangent weights the opposite edge (j, k)
-        d = (p[:, k] - p[:, j]) * cots[:, i, None]
-        np.add.at(acc, tri[:, j], d)
-        np.add.at(acc, tri[:, k], -d)
-    return acc / (2.0 * np.maximum(areas, 1e-300))[:, None]
+    np.add.at(acc, j, d)
+    np.add.at(acc, k, -d)
+    return acc / (2.0 * np.maximum(mesh.vertex_area, 1e-300))[:, None]
 
 
 def _gram_schmidt_pair(vecs: np.ndarray) -> np.ndarray:
@@ -383,9 +365,8 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     fourth-order surface contributions that would otherwise alias into the
     curvature).  Vertices whose 2-ring is too small for the quartic basis,
     or cannot separate its terms, fall back to the plain quadratic fit.
-    Triangle areas and corner cotangents are computed once and shared by
-    the mixed areas and the cotan velocity.  Modifies in place and returns
-    the mesh.
+    The mixed areas and the cotan velocity read the mesh's one triangle
+    pass (triangle_areas).  Modifies in place and returns the mesh.
     """
     v = mesh.vertices
     topo = mesh._topo
@@ -446,17 +427,14 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     mc_alpha = shape[:, 0, 0, :] + shape[:, 1, 1, :]
     mc_jet = np.einsum("nia,na->ni", normal, mc_alpha)
 
-    tri_area = mesh.triangle_areas()
-    cots = _corner_cotangents(mesh, tri_area)
-    areas = _mixed_voronoi_areas(mesh, tri_area, cots)
-    mesh.vertex_area = areas
-    mesh._total_area = float(tri_area.sum())
+    mesh.triangle_areas()  # fills the triangle cache that the two helpers read
+    mesh.vertex_area = _mixed_voronoi_areas(mesh)
     mesh.tangent = tangent
     mesh.normal = normal
     mesh.shape = shape
     mesh.mean_curv_alpha = mc_alpha
     mesh.mean_curv_jet = mc_jet
-    mesh.mean_curv_cot = _cotan_mean_curvature(mesh, cots, areas)
+    mesh.mean_curv_cot = _cotan_mean_curvature(mesh)
     h, a, b, c = special_frame_fields(shape, mc_alpha)
     mesh.frame_h, mesh.frame_a, mesh.frame_b, mesh.frame_c = h, a, b, c
     mesh.geometry_recovered = True

@@ -12,7 +12,7 @@ from codim2flow.cli import (
     parse_scenario_text,
     run_scenario,
 )
-from codim2flow.flow import TRACE_COLUMNS, FlowTrace
+from codim2flow.flow import TRACE_COLUMNS
 from codim2flow.identities import identity_report
 from codim2flow.mesh import read_off4
 
@@ -156,8 +156,7 @@ def test_run_scenario_artifacts(tmp_path):
     assert summary["status"] == "blowup_threshold"
     assert not summary["hypothesis_violated"]
     assert (out / "trace.csv").exists()
-    tr = FlowTrace.from_csv(out / "trace.csv")
-    assert len(tr.rows) > 3
+    assert len((out / "trace.csv").read_text().splitlines()) > 4
     snaps = sorted((out / "snapshots").glob("snap_*.off4"))
     assert snaps
     mesh = read_off4(snaps[0])
@@ -249,7 +248,8 @@ def test_empty_off4_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"output_every": 0}, {"poincare_every": 0},
-                                 {"max_steps": -1}, {"cfl": '"abc"'}])
+                                 {"max_steps": -1}, {"cfl": '"abc"'},
+                                 {"p": 1}, {"eta": -1}, {"sigma": 1.5}])
 def test_bad_flow_config_values_are_config_errors(tmp_path, bad):
     cfg = tiny_scenario(tmp_path, **bad)
     assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from codim2flow.flow import (
     FlowConfig,
     FlowTrace,
     TraceRow,
+    _triangle_inverted,
     decay_exponent_fit,
     monitors,
     poincare_check,
@@ -22,7 +24,7 @@ from codim2flow.flow import (
     step_mcf,
     type_i_rescale,
 )
-from codim2flow.mesh import recover_geometry
+from codim2flow.mesh import SurfaceMesh, recover_geometry
 
 
 def small_cfg(**kw):
@@ -136,6 +138,19 @@ def test_step_too_large_after_halvings(monkeypatch):
         step_mcf(m, small_cfg())
 
 
+def test_triangle_inversion_is_projected_orientation(rng):
+    # reference: the new triangle's orientation in an orthonormal frame of the old plane
+    for _ in range(200):
+        old, new = rng.standard_normal((2, 3, 4))
+        e1 = (old[1] - old[0]) / np.linalg.norm(old[1] - old[0])
+        e2 = old[2] - old[0] - ((old[2] - old[0]) @ e1) * e1
+        e2 /= np.linalg.norm(e2)
+        u, v = new[1] - new[0], new[2] - new[0]
+        signed = (u @ e1) * (v @ e2) - (u @ e2) * (v @ e1)
+        tri = SurfaceMesh(old, [[0, 1, 2]], require_closed=False)
+        assert _triangle_inverted(tri, new) == (signed <= 0)
+
+
 def test_sphere_radius_tracks_exact_solution(sphere_run):
     # r(t) = sqrt(1 - 4t) for the unit 2-sphere in R^4
     for row in sphere_run.trace.rows:
@@ -170,11 +185,11 @@ def test_torus_factor_radii_track_exact_solution():
 def test_trace_columns_and_round_trip(tmp_path, sphere_run):
     path = tmp_path / "trace.csv"
     sphere_run.trace.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header.split(",") == TRACE_COLUMNS
-    tr = FlowTrace.from_csv(path)
-    assert len(tr.rows) == len(sphere_run.trace.rows)
-    assert tr.rows[-1].maxA2 == pytest.approx(sphere_run.trace.rows[-1].maxA2, rel=1e-12)
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",") == TRACE_COLUMNS
+    assert len(lines) == 1 + len(sphere_run.trace.rows)
+    last = dict(zip(TRACE_COLUMNS, lines[-1].split(",")))
+    assert float(last["maxA2"]) == sphere_run.trace.rows[-1].maxA2
 
 
 def test_trace_monotonicity_enforced():
@@ -331,6 +346,20 @@ def test_decay_fit_requires_dynamic_range(sphere_run):
     with pytest.raises(InsufficientDynamicRange):
         tr = FlowTrace()
         tr.rows = sphere_run.trace.rows[:5]
+        decay_exponent_fit(tr)
+
+
+def test_nan_frame_entry_keeps_trace_max_a2_and_decay_guard(pinched_run):
+    # the trace's maxA2 is the |A|^2 the stop rule reads, and a NaN in that
+    # column fails the decay fit's dynamic-range guard
+    m = recover_geometry(icosphere(1.0, 2))
+    m.frame_a[0] = np.nan
+    row = monitors(m, small_cfg(), 0.0, r0=1.0, with_poincare=False)
+    assert row.maxA2 == float(np.max(m.norm_a2()))
+    tr = FlowTrace()
+    tr.rows = list(pinched_run.trace.rows)
+    tr.rows[0] = dataclasses.replace(tr.rows[0], maxA2=float("nan"))
+    with pytest.raises(InsufficientDynamicRange):
         decay_exponent_fit(tr)
 
 

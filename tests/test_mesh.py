@@ -172,6 +172,22 @@ def test_gauss_bonnet_torus(torus48):
     assert total_abs <= floor  # K recovered as zero to machine precision
 
 
+def test_triangle_pass_matches_per_corner_reference(torus48):
+    p = torus48.vertices[torus48.triangles]
+    ang = np.empty((torus48.n_triangles, 3))
+    for i in range(3):
+        u, v = p[:, (i + 1) % 3] - p[:, i], p[:, (i + 2) % 3] - p[:, i]
+        ang[:, i] = np.arccos(np.einsum("mi,mi->m", u, v)
+                              / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)))
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1) * np.sin(ang[:, 0])
+    np.testing.assert_allclose(torus48.triangle_areas(), area, rtol=1e-12)
+    np.testing.assert_allclose(torus48._tri[2], 1 / np.tan(ang), rtol=1e-10, atol=1e-12)
+    assert torus48.min_triangle_angle() == pytest.approx(ang.min(), rel=1e-12)
+    # the mixed areas partition the surface
+    assert torus48.vertex_area.sum() == pytest.approx(torus48.total_area(), rel=1e-12)
+
+
 def test_simons_identity_on_recovered_tensors(sphere4, rng):
     # closed vs tensor route agree on the recovered shape data by algebra
     m = ellipsoid_plus_bump(1.2, 1.0, 0.9, 0.08, subdivisions=2)
