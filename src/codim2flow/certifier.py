@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curvature import reaction_terms
 from .errors import BracketInvalid, InvalidK, ResolutionTooCoarse
 
 ORACLE_RTOL = 1e-10
@@ -67,22 +68,14 @@ def reaction_expression(a, b, c, eps, k, gamma):
 def unreduced_reaction(a, b, c, eps, k, gamma):
     """Oracle: 2 R1 + 2 gamma R3 - 2 k R2 with |H|^2 forced by Q = 0.
 
-    Evaluates the raw reaction terms on the canonical frame state whose
-    squared mean curvature is (|Ac|^2 + 2 gamma |K| + eps)/(k - 1/2).
-    Polynomial in |H|^2, so exact on rational inputs.
+    Evaluates the raw reaction terms (curvature.reaction_terms) on the
+    canonical frame state (a, c >= 0) whose squared mean curvature is
+    (|Ac|^2 + 2 gamma |K| + eps)/(k - 1/2).  Polynomial in |H|^2, so exact
+    on rational inputs.
     """
-    inv_m = 2 / (2 * k - 1)
-    a1c = 2 * a * a
-    a2c = 2 * b * b + 2 * c * c
-    w = abs(2 * a * c)
-    h2 = (a1c + a2c + 2 * gamma * w + eps) * inv_m
-    c11 = h2 / 2 + a1c
-    c12 = 2 * a * b
-    rm_perp2 = 4 * w * w
-    r1 = c11 * c11 + 2 * c12 * c12 + a2c * a2c + rm_perp2
-    r2 = h2 * c11
-    norm_a2 = h2 / 2 + a1c + a2c
-    r3 = w * (norm_a2 + 2 * (a1c + a2c))
+    a, c = abs(a), abs(c)
+    h2 = (2 * a * a + 2 * b * b + 2 * c * c + 2 * gamma * (2 * a * c) + eps) * (2 / (2 * k - 1))
+    r1, r2, r3 = reaction_terms(h2, a, b, c)
     return 2 * r1 + 2 * gamma * r3 - 2 * k * r2
 
 
@@ -101,13 +94,6 @@ class ConeSample:
         _check_k(self.k)
         if self.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
-
-    @property
-    def induced_h2(self) -> float:
-        """|H|^2 forced by the Q = 0 constraint."""
-        num = 2 * self.a ** 2 + 2 * self.b ** 2 + 2 * self.c ** 2 \
-            + 2 * self.gamma * abs(2 * self.a * self.c) + self.eps
-        return num / (self.k - 0.5)
 
 
 def reaction_at_zero_q(s: ConeSample) -> float:

@@ -103,15 +103,27 @@ def scalars(s: SpecialFrameState) -> CurvatureScalars:
     """
     h, a, b, c = s.h, s.a, s.b, s.c
     f = field_scalars(h, a, b, c)
-    norm_a2, norm_acirc2, kperp = f["norm_a2"], f["norm_acirc2"], f["normal_kperp"]
-    rm_perp2 = 4 * (kperp * kperp)
-    c11 = h * h / 2 + 2 * a * a
+    kperp = f["normal_kperp"]
+    return CurvatureScalars(f["norm_a2"], f["norm_acirc2"], f["gauss_k"], kperp,
+                            4 * (kperp * kperp), *reaction_terms(h * h, a, b, c))
+
+
+def reaction_terms(h2, a, b, c):
+    """Reaction terms (R1, R2, R3) of |A|^2, |H|^2 and K-perp in the special frame.
+
+    Takes h2 = |H|^2, not |H|, and is plain arithmetic: elementwise on
+    ndarrays, exact on fractions.Fraction.  c11, c12, c22 is the Gram matrix
+    <A_alpha, A_beta> of the shape operators; R3 has the sign of K-perp.
+    """
+    c11 = h2 / 2 + 2 * a * a
     c12 = 2 * a * b
     c22 = 2 * b * b + 2 * c * c
-    r1 = c11 * c11 + 2 * c12 * c12 + c22 * c22 + rm_perp2
-    r2 = h * h * c11
-    r3 = kperp * (norm_a2 + 2 * norm_acirc2)
-    return CurvatureScalars(norm_a2, norm_acirc2, f["gauss_k"], kperp, rm_perp2, r1, r2, r3)
+    kperp = 2 * a * c
+    r1 = c11 * c11 + 2 * c12 * c12 + c22 * c22 + 4 * (kperp * kperp)
+    r2 = h2 * c11
+    # |A|^2 + 2 |A-circ|^2 = h2/2 + 3 |A-circ|^2
+    r3 = kperp * (h2 / 2 + 3 * (2 * a * a + c22))
+    return r1, r2, r3
 
 
 def lift_batch(h, a, b, c):

@@ -42,8 +42,12 @@ class GradientState:
 
     def component(self, i: int, j: int, k: int, alpha: int) -> float:
         """Full tensor component D_i h_{jk,alpha} (indices in {0,1})."""
-        n2 = (i == 1) + (j == 1) + (k == 1)
-        return (self.u, self.v)[alpha][n2]
+        return _component(self.u, self.v, i, j, k, alpha)
+
+
+def _component(u, v, i, j, k, alpha):
+    """D_i h_{jk,alpha} for shape (..., 4) components: its pattern is the count of 2-indices."""
+    return (u, v)[alpha][..., (i == 1) + (j == 1) + (k == 1)]
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,41 @@ def kperp_cross(u, v):
             + u[..., 2] * v[..., 3] - u[..., 3] * v[..., 2])
 
 
+def kperp_cross_raw(u, v):
+    """kperp_cross from the literal double sum over the full tensor; its oracle."""
+    tot = 0.0
+    for p in range(2):
+        for q in range(2):
+            tot = tot + (_component(u, v, q, 0, p, 0) * _component(u, v, q, 1, p, 1)
+                         - _component(u, v, q, 1, p, 0) * _component(u, v, q, 0, p, 1))
+    return tot
+
+
+def gradient_slacks(u, v) -> tuple[np.ndarray, GradientSlacks]:
+    """|DA|^2 and the slacks of the three gradient estimates, for components of shape (..., 4)."""
+    na2, nh2 = gradient_norms(u, v)
+    return na2, GradientSlacks(
+        trace_bound=na2 - 0.75 * nh2,
+        traceless_bound=na2 - 0.5 * nh2 - na2 / 3.0,
+        kperp_evol_bound=na2 - 2.0 * kperp_cross(u, v),
+    )
+
+
+def grad_kperp_closed(a, b, c, u, v):
+    """Closed form of (D_1 K-perp, D_2 K-perp) from special-frame fields and
+    components of shape (..., 4); grad_kperp is its product-rule oracle."""
+    d1 = c * (u[..., 0] - u[..., 2]) - 2 * b * u[..., 1] + 2 * a * v[..., 1]
+    d2 = c * (u[..., 1] - u[..., 3]) - 2 * b * u[..., 2] + 2 * a * v[..., 2]
+    return d1, d2
+
+
+def grad_kperp_bound_fields(h, a, b, c, u, v):
+    """Elementwise (|grad K-perp|, 4 |A-circ| |DA|); the first never exceeds the second."""
+    lhs = np.hypot(*grad_kperp_closed(a, b, c, u, v))
+    acirc = np.sqrt(field_scalars(h, a, b, c)["norm_acirc2"])
+    return lhs, 4 * acirc * np.sqrt(gradient_norms(u, v)[0])
+
+
 def norm_grad_a2(g: GradientState) -> float:
     """|DA|^2 with symmetric-pattern multiplicities (1, 3, 3, 1)."""
     return float(gradient_norms(g.u, g.v)[0])
@@ -91,10 +130,6 @@ def norm_grad_a2(g: GradientState) -> float:
 def norm_grad_h2(g: GradientState) -> float:
     """|DH|^2 from the Codazzi-tensor traces D_i H_alpha = sum_k D_i h_{kk,alpha}."""
     return float(gradient_norms(g.u, g.v)[1])
-
-
-def inner(g1: GradientState, g2: GradientState) -> float:
-    return float(_WEIGHTS @ (g1.u * g2.u) + _WEIGHTS @ (g1.v * g2.v))
 
 
 def decompose_ef(g: GradientState) -> tuple[GradientState, GradientState]:
@@ -116,22 +151,12 @@ def nabla_evol_kperp(g: GradientState) -> float:
 
 def nabla_evol_kperp_raw(g: GradientState) -> float:
     """Same cross term from the literal double sum; oracle for the closed form."""
-    tot = 0.0
-    for p in range(2):
-        for q in range(2):
-            tot += g.component(q, 0, p, 0) * g.component(q, 1, p, 1)
-            tot -= g.component(q, 1, p, 0) * g.component(q, 0, p, 1)
-    return float(tot)
+    return float(kperp_cross_raw(g.u, g.v))
 
 
 def check_gradient_inequalities(g: GradientState) -> GradientSlacks:
     """Slack (LHS - RHS) of the three gradient estimates; all should be >= 0."""
-    na2, nh2 = gradient_norms(g.u, g.v)
-    return GradientSlacks(
-        trace_bound=na2 - 0.75 * nh2,
-        traceless_bound=na2 - 0.5 * nh2 - na2 / 3.0,
-        kperp_evol_bound=na2 - 2.0 * nabla_evol_kperp(g),
-    )
+    return gradient_slacks(g.u, g.v)[1]
 
 
 def grad_kperp(s: SpecialFrameState, g: GradientState) -> np.ndarray:
@@ -153,11 +178,8 @@ def grad_kperp(s: SpecialFrameState, g: GradientState) -> np.ndarray:
 
 def grad_kperp_bound(s: SpecialFrameState, g: GradientState) -> tuple[float, float]:
     """Returns (|grad K-perp|, 4 |A-circ| |DA|); the first never exceeds the second."""
-    gk = grad_kperp(s, g)
-    lhs = float(np.hypot(gk[0], gk[1]))
-    acirc = np.sqrt(field_scalars(s.h, s.a, s.b, s.c)["norm_acirc2"])
-    rhs = 4.0 * float(acirc) * np.sqrt(norm_grad_a2(g))
-    return lhs, float(rhs)
+    lhs, rhs = grad_kperp_bound_fields(s.h, s.a, s.b, s.c, g.u, g.v)
+    return float(lhs), float(rhs)
 
 
 def sweep_inequalities(samples: np.ndarray) -> dict:
@@ -169,13 +191,12 @@ def sweep_inequalities(samples: np.ndarray) -> dict:
     """
     u = samples[:, :4]
     v = samples[:, 4:]
-    na2, nh2 = gradient_norms(u, v)
-    cross = kperp_cross(u, v)
+    na2, sl = gradient_slacks(u, v)
     scale = np.maximum(na2, 1e-300)
     slacks = {
-        "grad_trace_bound": (na2 - 0.75 * nh2) / scale,
-        "grad_traceless_bound": (na2 - 0.5 * nh2 - na2 / 3.0) / scale,
-        "grad_kperp_evol_bound": (na2 - 2.0 * cross) / scale,
+        "grad_trace_bound": sl.trace_bound / scale,
+        "grad_traceless_bound": sl.traceless_bound / scale,
+        "grad_kperp_evol_bound": sl.kperp_evol_bound / scale,
     }
     out = {}
     for name, sl in slacks.items():

@@ -78,7 +78,6 @@ class SurfaceMesh:
         self.tangent = None          # (n, 4, 2)
         self.normal = None           # (n, 4, 2)
         self.shape = None            # (n, 2, 2, 2) in the vertex frame
-        self.mean_curv_alpha = None  # (n, 2) jet-fit H components
         self.mean_curv_jet = None    # (n, 4) jet-fit H vector
         self.mean_curv_cot = None    # (n, 4) cotan H vector (flow velocity)
         self.frame_h = None
@@ -103,19 +102,12 @@ class SurfaceMesh:
         return self._topo["n_edges"]
 
     @property
-    def euler_characteristic(self) -> int:
-        return self.n_vertices - self.n_edges + self.n_triangles
-
-    @property
     def is_closed(self) -> bool:
         return self._topo["closed"]
 
     def with_vertices(self, vertices) -> "SurfaceMesh":
         """New mesh with the same topology and fresh geometry caches."""
         return SurfaceMesh(vertices, self.triangles, self.require_closed, _topology=self._topo)
-
-    def interior_mask(self) -> np.ndarray:
-        return self._topo["interior"]
 
     # -- element quantities ---------------------------------------------------
 
@@ -197,10 +189,6 @@ def _build_topology(n_vertices: int, triangles: np.ndarray, require_closed: bool
         raise DegenerateNeighborhood(
             f"vertex {bad} has only {counts2[bad]} 2-ring neighbors (< {MIN_RING2})")
 
-    boundary_v = np.zeros(n_vertices, dtype=bool)
-    for a, b in boundary:
-        boundary_v[a] = boundary_v[b] = True
-
     def pad(rings):
         k = max(len(r) for r in rings)
         idx = np.zeros((n_vertices, k), dtype=np.int64)
@@ -216,7 +204,6 @@ def _build_topology(n_vertices: int, triangles: np.ndarray, require_closed: bool
     return {
         "n_edges": n_edges,
         "closed": closed,
-        "interior": ~boundary_v,
         "ring1_idx": idx1, "ring1_mask": mask1,
         "ring2_idx": idx2, "ring2_mask": mask2,
     }
@@ -432,7 +419,6 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     mesh.tangent = tangent
     mesh.normal = normal
     mesh.shape = shape
-    mesh.mean_curv_alpha = mc_alpha
     mesh.mean_curv_jet = mc_jet
     mesh.mean_curv_cot = _cotan_mean_curvature(mesh)
     h, a, b, c = special_frame_fields(shape, mc_alpha)

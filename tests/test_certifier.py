@@ -93,7 +93,8 @@ def test_oracle_consistent_with_curvature_module(rng):
         g = gamma_for_k(k)
         eps = rng.uniform(0, 1)
         s = ConeSample(a, b, c, eps, k, g)
-        h2 = s.induced_h2
+        # |H|^2 forced by Q = 0
+        h2 = (2 * a * a + 2 * b * b + 2 * c * c + 2 * g * abs(2 * a * c) + eps) / (k - 0.5)
         assert h2 >= 0
         st_frame = SpecialFrameState(math.sqrt(h2), abs(a), abs(b), abs(c))
         sc = scalars(st_frame)

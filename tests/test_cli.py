@@ -35,6 +35,19 @@ def test_identity_report_empty_for_zero_count():
     assert report["pass"] and report["properties"] == []
 
 
+def test_identity_report_rejects_negative_count():
+    with pytest.raises(ValueError):
+        identity_report(seed=1, count=-5)
+
+
+def test_ef_split_detects_missing_trace_part(monkeypatch):
+    # E computed as zero leaves Pythagoras intact; the trace-bound slack must catch it
+    monkeypatch.setattr(identities, "trace_part", np.zeros_like)
+    report = identity_report(seed=0, count=10 ** 4)
+    failed = {p["property"] for p in report["properties"] if not p["pass"]}
+    assert failed == {"ef_orthogonal_split"}
+
+
 def test_identity_sweep_detects_injected_sign_flip(monkeypatch):
     # mutate the closed-form route; the tensor oracle must catch it
     orig = identities.closed_z_batch
@@ -56,6 +69,10 @@ def test_cmd_identities_exit_codes(tmp_path, capsys, monkeypatch):
 
 def test_cmd_identities_count_zero():
     assert main(["identities", "--count", "0"]) == 0
+
+
+def test_cmd_identities_negative_count_is_config_error():
+    assert main(["identities", "--count", "-5"]) == 2
 
 
 # ---------------------------------------------------------------------------

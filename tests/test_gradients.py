@@ -11,7 +11,9 @@ from codim2flow.gradients import (
     exact_min_slack_kperp_evol,
     grad_kperp,
     grad_kperp_bound,
-    inner,
+    grad_kperp_closed,
+    gradient_slacks,
+    kperp_cross_raw,
     nabla_evol_kperp,
     nabla_evol_kperp_raw,
     norm_grad_a2,
@@ -79,7 +81,9 @@ def test_decompose_ef_orthogonal_pythagoras(g):
     e, f = decompose_ef(g)
     na2 = norm_grad_a2(g)
     assert np.allclose(e.u + f.u, g.u) and np.allclose(e.v + f.v, g.v)
-    assert abs(inner(e, f)) <= 1e-12 * (1 + na2)
+    # weighted inner product with the symmetric-pattern multiplicities
+    w = np.array([1.0, 3.0, 3.0, 1.0])
+    assert abs(w @ (e.u * f.u) + w @ (e.v * f.v)) <= 1e-12 * (1 + na2)
     assert abs(norm_grad_a2(e) + norm_grad_a2(f) - na2) <= 1e-12 * (1 + na2)
     assert abs(norm_grad_a2(e) - 0.75 * norm_grad_h2(g)) <= 1e-12 * (1 + na2)
     # F is trace free
@@ -106,6 +110,15 @@ def test_nabla_evol_kperp_raw_sum_oracle(g):
     assert abs(closed - raw) <= 1e-12 * (1 + abs(raw))
 
 
+def test_kperp_cross_raw_batch_matches_scalar_raw_sum(rng):
+    samples = rng.standard_normal((500, 8))
+    raw = kperp_cross_raw(samples[:, :4], samples[:, 4:])
+    assert raw.shape == (500,)
+    for row, r in zip(samples, raw):
+        assert r == pytest.approx(nabla_evol_kperp_raw(GradientState(row[:4], row[4:])),
+                                  rel=1e-14, abs=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # the three gradient inequalities
 
@@ -126,6 +139,20 @@ def test_inequalities_random_sweep(rng):
     report = sweep_inequalities(samples)
     for name, entry in report.items():
         assert entry["slack_min"] >= -1e-12, name
+
+
+def test_gradient_slacks_batch_matches_scalar_rows(rng):
+    samples = rng.standard_normal((500, 8))
+    na2, batch = gradient_slacks(samples[:, :4], samples[:, 4:])
+    for i, row in enumerate(samples):
+        g = GradientState(row[:4], row[4:])
+        sl = check_gradient_inequalities(g)
+        # a batched matmul may sum the weighted squares in another order
+        assert norm_grad_a2(g) == pytest.approx(na2[i], rel=1e-14)
+        tol = 1e-14 * (1 + na2[i])
+        assert sl.trace_bound == pytest.approx(batch.trace_bound[i], rel=0, abs=tol)
+        assert sl.traceless_bound == pytest.approx(batch.traceless_bound[i], rel=0, abs=tol)
+        assert sl.kperp_evol_bound == pytest.approx(batch.kperp_evol_bound[i], rel=0, abs=tol)
 
 
 def test_kperp_evol_equality_family():
@@ -160,17 +187,16 @@ def test_grad_kperp_vanishes_at_umbilic(rng):
 
 
 def test_grad_kperp_matches_product_rule_sum(rng):
-    # closed form of the per-direction gradient vs brute expansion
-    for _ in range(200):
-        h = abs(rng.standard_normal()) + 0.1
-        s = SpecialFrameState(h, *rng.standard_normal(3))
-        g = GradientState(rng.standard_normal(4), rng.standard_normal(4))
-        gk = grad_kperp(s, g)
-        u, v = g.u, g.v
-        d1 = s.c * (u[0] - u[2]) - 2 * s.b * u[1] + 2 * s.a * v[1]
-        d2 = s.c * (u[1] - u[3]) - 2 * s.b * u[2] + 2 * s.a * v[2]
-        assert gk[0] == pytest.approx(d1, rel=1e-12, abs=1e-12)
-        assert gk[1] == pytest.approx(d2, rel=1e-12, abs=1e-12)
+    # closed-form batch kernel vs the per-state product-rule expansion
+    n = 200
+    a, b, c = rng.standard_normal((3, n))
+    u, v = rng.standard_normal((2, n, 4))
+    d1, d2 = grad_kperp_closed(a, b, c, u, v)
+    for i in range(n):
+        s = SpecialFrameState(abs(rng.standard_normal()) + 0.1, a[i], b[i], c[i])
+        gk = grad_kperp(s, GradientState(u[i], v[i]))
+        assert gk[0] == pytest.approx(d1[i], rel=1e-12, abs=1e-12)
+        assert gk[1] == pytest.approx(d2[i], rel=1e-12, abs=1e-12)
 
 
 def test_grad_kperp_bound_sweep(rng):
