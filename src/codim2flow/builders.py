@@ -3,7 +3,6 @@
 icosphere          round control with an exact shrinking solution
 ellipsoid_plus_bump  pinched sphere-like data made genuinely codimension two
 product_torus      S^1 x S^1 in R^2 x R^2: the negative control (|A|^2 = |H|^2)
-flat_patch         open planar grid for the zero-curvature recovery check
 """
 
 from __future__ import annotations
@@ -104,29 +103,3 @@ def product_torus(r1: float, r2: float, n1: int = 48, n2: int = 48) -> SurfaceMe
             faces.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
             faces.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
     return SurfaceMesh(verts, np.array(faces, dtype=np.int64))
-
-
-def flat_patch(n: int = 13, spacing: float = 0.5) -> SurfaceMesh:
-    """Open planar grid in the first two coordinates; curvature-free control.
-
-    Diagonals alternate per cell so every corner keeps a workable 2-ring;
-    use odd n to give all four corners the favorable split.
-    """
-    xs = spacing * np.arange(n)
-    xg, yg = np.meshgrid(xs, xs, indexing="ij")
-    verts = np.stack([xg.ravel(), yg.ravel(),
-                      np.zeros(n * n), np.zeros(n * n)], axis=1)
-
-    def vid(i, j):
-        return i * n + j
-
-    faces = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            if (i + j) % 2 == 0:
-                faces.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
-                faces.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
-            else:
-                faces.append([vid(i, j), vid(i + 1, j), vid(i, j + 1)])
-                faces.append([vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return SurfaceMesh(verts, np.array(faces, dtype=np.int64), require_closed=False)

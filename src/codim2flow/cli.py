@@ -18,6 +18,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 from . import builders
@@ -66,9 +67,7 @@ _SURFACE_KEYS = {
     "product_torus": ("r1", "r2", "n1", "n2"),
 }
 
-_FLOW_KEYS = ("k", "gamma", "eps", "sigma", "p", "cfl", "stop_a2", "stop_factor", "max_steps",
-              "output_every", "eta", "epsilon_z", "pinch_fraction", "poincare_every",
-              "min_angle_deg", "redistribution")
+_FLOW_KEYS = tuple(f.name for f in fields(FlowConfig))
 
 _SCENARIO_KEYS = {"name", "surface", *_FLOW_KEYS}
 
@@ -290,7 +289,8 @@ def _cmd_flow(args) -> int:
               + (" [hypothesis violated]" if summary["hypothesis_violated"] else ""))
 
     if args.jobs > 1 and len(names) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a forked pool starts all its workers at once: no more than scenarios
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
             futs = [pool.submit(run_scenario, s, o, args.seed) for s, o in zip(names, outs)]
             for fut in futs:
                 report(fut.result())

@@ -211,15 +211,15 @@ def monitors(mesh: SurfaceMesh, cfg: FlowConfig, t: float, r0: float,
     )
 
 
-def _triangle_inverted(old: SurfaceMesh, new_vertices: np.ndarray) -> bool:
+def _triangle_inverted(p: np.ndarray, q: np.ndarray) -> bool:
     """True if any triangle flips orientation projected onto its old plane.
 
-    For the old edges u, v from corner 0 and the new ones u', v', the
-    Binet-Cauchy identity (u ^ v) . (u' ^ v') = (u . u')(v . v') - (u . v')(v . u')
+    p and q are the old and new (m, 3, 4) corner positions.  For the old
+    edges u, v from corner 0 and the new ones u', v', the Binet-Cauchy
+    identity (u ^ v) . (u' ^ v') = (u . u')(v . v') - (u . v')(v . u')
     is four times the old area times the signed area of the new triangle
     projected onto the old plane.
     """
-    p, q = old.vertices[old.triangles], new_vertices[old.triangles]
     u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     un, vn = q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]
     signed = (np.einsum("mi,mi->m", u, un) * np.einsum("mi,mi->m", v, vn)
@@ -261,7 +261,7 @@ def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
         shift = cfg.redistribution * g_tan
     for _ in range(10):
         cand = mesh.vertices + dt * vel + shift
-        if _triangle_inverted(mesh, cand):
+        if _triangle_inverted(mesh.vertices[mesh.triangles], cand[mesh.triangles]):
             dt *= 0.5
             continue
         # the area test fills the candidate's triangle cache for recover_geometry
@@ -287,20 +287,16 @@ class FlowResult:
     trace: FlowTrace
     snapshots: list
     status: str            # blowup_threshold | max_steps | mesh_quality
-    final_mesh: SurfaceMesh
     r0: float
     stop_a2: float
-    config: FlowConfig
 
 
-def run_flow(mesh: SurfaceMesh, cfg: FlowConfig, snapshot_factor: float = 2.0) -> FlowResult:
+def run_flow(mesh: SurfaceMesh, cfg: FlowConfig) -> FlowResult:
     """Flow to the curvature threshold, tracing monitors every output step.
 
-    Snapshots are stored each time max |A|^2 grows by snapshot_factor
-    (geometric spacing toward the blowup) plus the initial and final states.
+    Snapshots are stored each time max |A|^2 doubles (geometric spacing
+    toward the blowup) plus the initial and final states.
     """
-    if not mesh.is_closed:
-        raise ValueError("flow requires a closed mesh")
     recover_geometry(mesh)
     cfg.resolved_epsilon_z()
     r0 = float(np.sqrt(np.max(np.einsum("ni,ni->n", mesh.vertices, mesh.vertices))))
@@ -316,7 +312,7 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig, snapshot_factor: float = 2.0) -
         mesh, dt = step_mcf(mesh, cfg)
         t += dt
         max_a2 = float(np.max(mesh.norm_a2()))
-        want_snapshot = max_a2 >= snapshot_factor * snapshots[-1].max_a2
+        want_snapshot = max_a2 >= 2.0 * snapshots[-1].max_a2
         done = max_a2 >= stop_a2
         if step % cfg.output_every == 0 or done or want_snapshot:
             with_poincare = (step % cfg.poincare_every == 0) or done or want_snapshot
@@ -331,11 +327,14 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig, snapshot_factor: float = 2.0) -
             status = "mesh_quality"
             break
     return FlowResult(trace=trace, snapshots=snapshots, status=status,
-                      final_mesh=mesh, r0=r0, stop_a2=stop_a2, config=cfg)
+                      r0=r0, stop_a2=stop_a2)
 
 
 # ---------------------------------------------------------------------------
 # blowup analysis
+
+# fewest trace rows a decay-exponent fit uses
+DECAY_MIN_SAMPLES = 20
 
 
 @dataclass
@@ -343,16 +342,13 @@ class RescaledSnapshot:
     step: int
     t: float
     lam: float             # max |H| before rescaling
-    center_index: int
-    mesh: SurfaceMesh      # recentered, scaled, geometry recovered
     max_h: float           # of the rescaled mesh; should sit near 1
     max_pinch_numerator: float
     fields: dict           # pinching_fields of the rescaled mesh
 
 
-def type_i_rescale(snapshots: list, stop_a2: float, gamma: float,
-                   last_n: int | None = None) -> list:
-    """Parabolic rescaling of late snapshots around their curvature peak.
+def type_i_rescale(snapshots: list, stop_a2: float, gamma: float) -> list:
+    """Parabolic rescaling of the snapshots around their curvature peak.
 
     Each snapshot is recentered at its maximum-|H| vertex and scaled by
     that |H|, so the rescaled surface has unit peak mean curvature; the
@@ -365,9 +361,8 @@ def type_i_rescale(snapshots: list, stop_a2: float, gamma: float,
     if snapshots[-1].max_a2 < 0.5 * stop_a2:
         raise NoBlowupDetected(
             f"last snapshot max|A|^2 = {snapshots[-1].max_a2:.3e} < half of {stop_a2:.3e}")
-    chosen = snapshots if last_n is None else snapshots[-last_n:]
     out = []
-    for snap in chosen:
+    for snap in snapshots:
         mesh = snap.mesh
         if not mesh.geometry_recovered:
             recover_geometry(mesh)
@@ -377,7 +372,7 @@ def type_i_rescale(snapshots: list, stop_a2: float, gamma: float,
         recover_geometry(scaled)
         pf = pinching_fields(scaled.frame_h, scaled.frame_a, scaled.frame_b, scaled.frame_c, gamma)
         out.append(RescaledSnapshot(
-            step=snap.step, t=snap.t, lam=lam, center_index=i, mesh=scaled,
+            step=snap.step, t=snap.t, lam=lam,
             max_h=float(np.nanmax(scaled.frame_h)),
             max_pinch_numerator=float(np.nanmax(pf["pinch_num"])),
             fields=pf,
@@ -385,17 +380,18 @@ def type_i_rescale(snapshots: list, stop_a2: float, gamma: float,
     return out
 
 
-def decay_exponent_fit(trace: FlowTrace, min_samples: int = 20,
-                       window_fraction: float = 0.5) -> tuple[float, float]:
+def decay_exponent_fit(trace: FlowTrace) -> tuple[float, float]:
     """Fit max(|Ac|^2 + 2 gamma |K|) ~ c0 (max|H|)^(2 - delta) on late rows.
 
-    Requires at least min_samples rows spanning two decades of max |A|^2.
+    Fits the rows in the upper half of the log max |H| range, or every row
+    if fewer than DECAY_MIN_SAMPLES lie there.  Requires at least
+    DECAY_MIN_SAMPLES rows spanning two decades of max |A|^2.
     Returns (c0, delta); a numerator at noise floor (round data) reports
     the degenerate cap delta = 2 with c0 = 0.
     """
     max_a2 = trace.column("maxA2")
     # written so that a NaN sample fails the range test
-    if len(max_a2) < min_samples or not max_a2.max() >= 100.0 * max_a2.min():
+    if len(max_a2) < DECAY_MIN_SAMPLES or not max_a2.max() >= 100.0 * max_a2.min():
         raise InsufficientDynamicRange(
             f"{len(max_a2)} samples spanning {max_a2.max() / max_a2.min():.1f}x")
     num = trace.column("maxPinchNumerator")
@@ -404,9 +400,9 @@ def decay_exponent_fit(trace: FlowTrace, min_samples: int = 20,
     if np.all(num <= 1e-6 * max_a2):
         return 0.0, 2.0
     log_h = np.log(max_h)
-    lo = log_h[0] + (1.0 - window_fraction) * (log_h[-1] - log_h[0])
+    lo = log_h[0] + 0.5 * (log_h[-1] - log_h[0])
     sel = (log_h >= lo) & (num > 0)
-    if sel.sum() < min_samples:
+    if sel.sum() < DECAY_MIN_SAMPLES:
         sel = num > 0
     slope, intercept = np.polyfit(log_h[sel], np.log(num[sel]), 1)
     return float(np.exp(intercept)), float(2.0 - slope)

@@ -55,23 +55,22 @@ _PIVOT_RTOL = 1e-12
 
 
 class SurfaceMesh:
-    """Triangle mesh in R^4 with per-vertex geometry caches.
+    """Closed triangle mesh in R^4 with per-vertex geometry caches.
 
     Topology (adjacency, rings, padded index tables) is validated and built
     once at construction and shared by meshes derived via with_vertices;
     position-dependent caches are filled by recover_geometry.
     """
 
-    def __init__(self, vertices, triangles, require_closed: bool = True, _topology=None):
+    def __init__(self, vertices, triangles, _topology=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 4:
             raise ValueError("vertices must be (n, 4)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be (m, 3)")
-        self.require_closed = require_closed
         if _topology is None:
-            _topology = _build_topology(self.vertices.shape[0], self.triangles, require_closed)
+            _topology = _build_topology(self.vertices.shape[0], self.triangles)
         self._topo = _topology
         self.geometry_recovered = False
         self.vertex_area = None
@@ -101,13 +100,9 @@ class SurfaceMesh:
     def n_edges(self) -> int:
         return self._topo["n_edges"]
 
-    @property
-    def is_closed(self) -> bool:
-        return self._topo["closed"]
-
     def with_vertices(self, vertices) -> "SurfaceMesh":
         """New mesh with the same topology and fresh geometry caches."""
-        return SurfaceMesh(vertices, self.triangles, self.require_closed, _topology=self._topo)
+        return SurfaceMesh(vertices, self.triangles, _topology=self._topo)
 
     # -- element quantities ---------------------------------------------------
 
@@ -147,7 +142,7 @@ class SurfaceMesh:
         return math.atan2(1.0, float(np.max(self._tri[2])))
 
 
-def _build_topology(n_vertices: int, triangles: np.ndarray, require_closed: bool) -> dict:
+def _build_topology(n_vertices: int, triangles: np.ndarray) -> dict:
     m = triangles.shape[0]
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= n_vertices:
         raise NonManifoldMesh("triangle index out of range")
@@ -162,13 +157,12 @@ def _build_topology(n_vertices: int, triangles: np.ndarray, require_closed: bool
     if len(directed) != 3 * m:
         raise NonManifoldMesh("duplicate directed edge: non-manifold or inconsistently oriented")
     boundary = [(a, b) for (a, b) in directed if (b, a) not in directed]
-    closed = not boundary
-    if require_closed and not closed:
+    if boundary:
         raise NonManifoldMesh(f"mesh has {len(boundary)} boundary edges")
 
     und = {tuple(sorted(e)) for e in directed}
     n_edges = len(und)
-    if closed and (n_vertices - n_edges + m) not in (2, 0):
+    if (n_vertices - n_edges + m) not in (2, 0):
         raise NonManifoldMesh(
             f"Euler characteristic {n_vertices - n_edges + m} not a sphere or torus")
 
@@ -184,7 +178,7 @@ def _build_topology(n_vertices: int, triangles: np.ndarray, require_closed: bool
         acc.discard(v)
         ring2.append(sorted(acc))
     counts2 = np.array([len(r) for r in ring2])
-    if closed and (counts2 < MIN_RING2).any():
+    if (counts2 < MIN_RING2).any():
         bad = int(np.argmin(counts2))
         raise DegenerateNeighborhood(
             f"vertex {bad} has only {counts2[bad]} 2-ring neighbors (< {MIN_RING2})")
@@ -203,7 +197,6 @@ def _build_topology(n_vertices: int, triangles: np.ndarray, require_closed: bool
     idx2, mask2 = pad(ring2)
     return {
         "n_edges": n_edges,
-        "closed": closed,
         "ring1_idx": idx1, "ring1_mask": mask1,
         "ring2_idx": idx2, "ring2_mask": mask2,
     }
@@ -231,9 +224,10 @@ def _cotan_mean_curvature(mesh: SurfaceMesh) -> np.ndarray:
     j, k = mesh.triangles[:, [1, 2, 0]], mesh.triangles[:, [2, 0, 1]]
     # corner i's cotangent weights the opposite edge (j, k)
     d = (v[k] - v[j]) * mesh._tri[2][:, :, None]
-    acc = np.zeros_like(v)
-    np.add.at(acc, j, d)
-    np.add.at(acc, k, -d)
+    # edge (j, k) adds d at j and -d at k: one scatter per coordinate
+    ends = np.concatenate([j.ravel(), k.ravel()])
+    acc = np.stack([np.bincount(ends, np.concatenate([d[..., i].ravel(), -d[..., i].ravel()]),
+                                minlength=mesh.n_vertices) for i in range(4)], axis=1)
     return acc / (2.0 * np.maximum(mesh.vertex_area, 1e-300))[:, None]
 
 
@@ -378,10 +372,6 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
         basis *= np.where(comp >= 0, 1.0, -1.0)
 
     counts = mask2.sum(axis=1)
-    if (counts < MIN_RING2).any():
-        bad = int(np.argmin(counts))
-        raise DegenerateNeighborhood(
-            f"vertex {bad} has only {counts[bad]} usable neighbors")
     # quartic where the stencil carries enough effective weight; plain
     # quadratic where it does not (small 2-rings, collapsed weights)
     eff = w.sum(axis=1) ** 2 / np.maximum((w * w).sum(axis=1), 1e-300)
@@ -526,7 +516,7 @@ def write_off4(mesh: SurfaceMesh, path) -> None:
             fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
 
 
-def read_off4(path, require_closed: bool = True) -> SurfaceMesh:
+def read_off4(path) -> SurfaceMesh:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
@@ -544,4 +534,7 @@ def read_off4(path, require_closed: bool = True) -> SurfaceMesh:
             tris.append([int(p) for p in parts[1:4]])
     except IndexError:
         raise ValueError(f"truncated OFF4 file: {path}") from None
-    return SurfaceMesh(verts, np.array(tris), require_closed=require_closed)
+    try:
+        return SurfaceMesh(verts, np.array(tris))
+    except (NonManifoldMesh, DegenerateNeighborhood) as exc:
+        raise ValueError(f"bad OFF4 mesh {path}: {exc}") from None

@@ -1,8 +1,10 @@
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import codim2flow.cli as cli
 import codim2flow.identities as identities
 from codim2flow.cli import (
     build_surface,
@@ -264,6 +266,25 @@ def test_empty_off4_is_config_error(tmp_path):
     assert main(["rescale", "--run", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("verts, faces", [
+    (3, [[0, 1, 2]]),
+    (4, [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]),  # closed, but 2-rings too small
+    (3, [[0, 1, 5]]),
+], ids=["open_triangle", "tetrahedron", "index_out_of_range"])
+def test_bad_off4_topology_is_config_error(tmp_path, verts, faces):
+    (tmp_path / "snapshots").mkdir()
+    off4 = tmp_path / "snapshots" / "snap_000.off4"
+    rows = [f"{i} {i % 2} {i // 2} 0" for i in range(verts)]
+    off4.write_text("\n".join(["OFF4", f"{verts} {len(faces)} 0", *rows,
+                               *(f"3 {a} {b} {c}" for a, b, c in faces)]) + "\n")
+    with pytest.raises(ValueError, match="snap_000.off4"):
+        read_off4(off4)
+    (tmp_path / "snapshots" / "index.json").write_text(
+        '[{"index": 0, "step": 0, "t": 0.0, "maxA2": 2.0}]')
+    (tmp_path / "run.json").write_text('{"scenario": {}, "stop_a2": 4.0}')
+    assert main(["rescale", "--run", str(tmp_path)]) == 2
+
+
 @pytest.mark.parametrize("bad", [{"output_every": 0}, {"poincare_every": 0},
                                  {"max_steps": -1}, {"cfl": '"abc"'},
                                  {"p": 1}, {"eta": -1}, {"sigma": 1.5}])
@@ -293,6 +314,36 @@ def test_cmd_flow_parallel_jobs(tmp_path):
                "flow", str(cfg_a), str(cfg_b)])
     assert rc == 0
     assert (tmp_path / "runs" / "tiny_sphere" / "trace.csv").exists()
+    assert (tmp_path / "runs" / "tiny_b" / "trace.csv").exists()
+
+
+def test_cmd_flow_jobs_capped_at_scenario_count(tmp_path, monkeypatch):
+    # a synchronous stand-in that records the pool size it was asked for
+    sizes = []
+
+    class SyncPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SyncPool)
+    cfg_a = tiny_scenario(tmp_path)
+    cfg_b = tmp_path / "tiny_b.cfg"
+    cfg_b.write_text(cfg_a.read_text().replace("r = 1.0", "r = 0.9"))
+    rc = main(["--out", str(tmp_path / "runs"), "--jobs", "64",
+               "flow", str(cfg_a), str(cfg_b)])
+    assert rc == 0
+    assert sizes == [2]
     assert (tmp_path / "runs" / "tiny_b" / "trace.csv").exists()
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from codim2flow.builders import ellipsoid_plus_bump, flat_patch, icosphere, product_torus
+from codim2flow.builders import ellipsoid_plus_bump, icosphere, product_torus
 from codim2flow.curvature import ShapeTensor, simons_z_closed, simons_z_tensor, to_special_frame
 from codim2flow.errors import DegenerateNeighborhood, NonManifoldMesh
 from codim2flow.mesh import (
@@ -38,14 +38,12 @@ def torus48():
 def test_icosphere_topology():
     m = icosphere(1.0, 2)
     assert m.n_vertices - m.n_edges + m.n_triangles == 2
-    assert m.is_closed
     assert 3 * m.n_triangles == 2 * m.n_edges
 
 
 def test_torus_topology():
     m = product_torus(1.0, 0.7, 16, 12)
     assert m.n_vertices - m.n_edges + m.n_triangles == 0
-    assert m.is_closed
 
 
 def test_open_mesh_rejected_when_closed_required():
@@ -54,8 +52,6 @@ def test_open_mesh_rejected_when_closed_required():
     verts[2, 1] = 1.0
     with pytest.raises(NonManifoldMesh):
         SurfaceMesh(verts, np.array([[0, 1, 2]]))
-    m = SurfaceMesh(verts, np.array([[0, 1, 2]]), require_closed=False)
-    assert not m.is_closed
 
 
 def test_duplicate_face_rejected():
@@ -132,17 +128,6 @@ def test_torus_unequal_radii_curvatures():
     assert np.median(np.abs(na2 - h2_exact) / h2_exact) < 0.01
 
 
-def test_flat_patch_interior_curvature_free():
-    n = 13
-    m = flat_patch(n, 0.5)
-    recover_geometry(m)
-    # flat_patch numbers vertex (i, j) of the grid as i * n + j
-    i, j = np.divmod(np.arange(m.n_vertices), n)
-    inter = (i > 0) & (i < n - 1) & (j > 0) & (j < n - 1)
-    assert inter.sum() == (n - 2) ** 2
-    assert np.abs(m.frame_h[inter]).max() < 1e-10
-
-
 def test_normal_bundle_vanishes_for_r3_immersions(sphere4):
     # sphere lives in R^3 x {0}: recovered normal curvature is fit noise
     kperp = np.abs(2 * sphere4.frame_a * sphere4.frame_c)
@@ -189,6 +174,18 @@ def test_triangle_pass_matches_per_corner_reference(torus48):
     assert torus48.min_triangle_angle() == pytest.approx(ang.min(), rel=1e-12)
     # the mixed areas partition the surface
     assert torus48.vertex_area.sum() == pytest.approx(torus48.total_area(), rel=1e-12)
+
+
+def test_cotan_scatter_matches_add_at_reference(torus48):
+    # np.add.at sums each vertex's edge terms in the same order, so the
+    # per-coordinate bincount must give the identical vector
+    m = torus48
+    j, k = m.triangles[:, [1, 2, 0]], m.triangles[:, [2, 0, 1]]
+    d = (m.vertices[k] - m.vertices[j]) * m._tri[2][:, :, None]
+    acc = np.zeros_like(m.vertices)
+    np.add.at(acc, j, d)
+    np.add.at(acc, k, -d)
+    assert np.array_equal(m.mean_curv_cot, acc / (2.0 * m.vertex_area)[:, None])
 
 
 def test_simons_identity_on_recovered_tensors(sphere4, rng):
@@ -283,6 +280,22 @@ def test_jet_kernel_independent_of_block_split(pinched3):
     parts = [_jet_fit(x[a:b], y[a:b], w[a:b], full[a:b]) for a, b in zip(cuts, cuts[1:])]
     # one-vertex blocks sum in another order, so equal up to rounding only
     assert np.max(np.abs(np.concatenate(parts) - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["quartic", "quadratic"])
+def test_jet_kernel_planar_stencils_are_curvature_free(full):
+    # offsets that vanish or are affine over the tangent plane: a flat
+    # surface, seen in a tilted frame in the affine case; the 5 x 5 grid
+    # determines every quartic term
+    g0, g1 = np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5))
+    x = np.stack([g0.ravel(), g1.ravel()], axis=1)
+    affine = np.stack([0.3 - 0.7 * x[:, 0] + 0.2 * x[:, 1], 1.1 * x[:, 0] - 0.4], axis=1)
+    y = np.stack([np.zeros_like(affine), affine])
+    w = np.exp(-np.sum(x * x, axis=1))[None].repeat(2, axis=0)
+    coef = _jet_fit(np.stack([x, x]), y, w, np.full(2, full))
+    assert np.max(np.abs(coef[:, 3:])) < 1e-12
+    np.testing.assert_allclose(coef[1, :3], [[0.3, -0.4], [-0.7, 1.1], [0.2, 0.0]], atol=1e-12)
+    assert np.max(np.abs(coef[0])) < 1e-12
 
 
 def test_jet_kernel_rank_deficient_stencil_raises():
