@@ -47,3 +47,7 @@ class DegenerateNeighborhood(Codim2FlowError):
 
 class NonManifoldMesh(Codim2FlowError):
     """Mesh violates the closed-manifold-surface requirements."""
+
+
+class NonFiniteStep(Codim2FlowError):
+    """A step produced a non-finite candidate, or its linear solve did not converge."""

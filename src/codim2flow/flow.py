@@ -1,8 +1,11 @@
-"""Explicit mean curvature flow of closed surfaces in R^4 with monitors.
+"""Mean curvature flow of closed surfaces in R^4 with monitors.
 
-Each step moves every vertex by its cotangent-Laplacian mean curvature
-vector with a timestep limited by both the finest vertex area and the
-largest curvature.  Steps that increase total area or invert a triangle in
+Each step moves every vertex along the normal part of a cotan
+displacement: the explicit scheme takes dt times the cotan mean curvature
+vector, with a timestep limited by both the finest vertex area and the
+largest curvature; the Crank-Nicolson scheme solves a linear system with
+the cotan stiffness at the step's midpoint, with a timestep limited by the
+curvature alone.  Steps that increase total area or invert a triangle in
 its own tangent projection are rejected and retried at half the step, up
 to ten halvings.
 
@@ -27,13 +30,30 @@ from .errors import (
     EpsilonZNotPositive,
     InsufficientDynamicRange,
     NoBlowupDetected,
+    NonFiniteStep,
     StepTooLarge,
 )
-from .mesh import SurfaceMesh, recover_geometry, shape_gradient_norm2, vertex_gradients
+from .mesh import (
+    SurfaceMesh,
+    mixed_voronoi_areas,
+    recover_geometry,
+    shape_gradient_norm2,
+    stiffness_diagonal,
+    stiffness_product,
+    vertex_gradients,
+)
 
 TRACE_COLUMNS = ["step", "t", "dt", "minH", "maxA2", "maxQ", "maxFsigma", "area",
                  "intFsigmaP", "posBoundSlack", "zRatioMin", "poincareSlack",
                  "rescaledMaxAcirc2"]
+
+SCHEMES = ("explicit", "crank_nicolson")
+
+# Each coordinate's conjugate-gradient solve stops once its residual is at
+# most CG_RTOL times its right-hand side; CG_MAX_ITER iterations without
+# that end the step with NonFiniteStep.
+CG_RTOL = 1e-10
+CG_MAX_ITER = 1000
 
 
 @dataclass
@@ -54,9 +74,14 @@ class FlowConfig:
     poincare_every: int = 25
     min_angle_deg: float = 5.0
     redistribution: float = 0.2         # per-step tangential relaxation factor
+    scheme: str = "explicit"            # or "crank_nicolson"; see step_mcf
 
     def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}, got {self.scheme!r}")
         for f in fields(self):
+            if f.name == "scheme":
+                continue
             v = getattr(self, f.name)
             if v is None and f.default is None:
                 continue
@@ -227,13 +252,96 @@ def _triangle_inverted(p: np.ndarray, q: np.ndarray) -> bool:
     return bool((signed <= 0).any())
 
 
-def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
-    """One explicit step along the cotan mean curvature vector.
+@dataclass
+class StepInfo:
+    """How one accepted step came about."""
+    dt: float
+    nominal_dt: float      # before any halving
+    limiter: str           # the bound that set nominal_dt: "area" or "curvature"
+    rejections: list       # one reason per halving: "inversion" or "area"
+    cg_iterations: list    # per linear solve, the most iterations any coordinate took
 
-    dt = cfl * min(min vertex area, 1 / max |A|^2); rejects (and halves dt)
-    on total-area increase or tangent-projected triangle inversion, raising
-    StepTooLarge after ten rejections.  Returns the stepped mesh with its
-    geometry caches already recovered.
+
+def _normal_part(nor: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Projection of per-vertex vectors x (n, 4) onto the normal planes nor (n, 4, 2)."""
+    return np.einsum("nia,na->ni", nor, np.einsum("nia,ni->na", nor, x))
+
+
+def _jacobi_cg(apply, diag: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve K x = b for each column of b by Jacobi-preconditioned conjugate gradients.
+
+    K is symmetric positive definite; apply(p) returns K p for a block of
+    columns and diag is K's diagonal.  A column stops once its residual is
+    at most CG_RTOL |b|, and is left alone from then on.  Returns x and the
+    most iterations any column took; raises NonFiniteStep on a non-finite
+    residual or when a column has not converged after CG_MAX_ITER iterations.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / diag[:, None]
+    p = z.copy()
+    rz = np.einsum("ni,ni->i", r, z)
+    stop = CG_RTOL * np.linalg.norm(b, axis=0)
+    for it in range(CG_MAX_ITER + 1):
+        res = np.linalg.norm(r, axis=0)
+        if not np.isfinite(res).all():
+            raise NonFiniteStep(f"non-finite conjugate-gradient residual after {it} iterations")
+        act = np.flatnonzero(res > stop)
+        if act.size == 0:
+            return x, it
+        if it == CG_MAX_ITER:
+            break
+        pa = p[:, act]
+        q = apply(pa)
+        alpha = rz[act] / np.einsum("ni,ni->i", pa, q)
+        x[:, act] += alpha * pa
+        r[:, act] -= alpha * q
+        za = r[:, act] / diag[:, None]
+        rz_new = np.einsum("ni,ni->i", r[:, act], za)
+        p[:, act] = za + (rz_new / rz[act]) * pa
+        rz[act] = rz_new
+    raise NonFiniteStep(f"conjugate gradients not converged to {CG_RTOL:g} "
+                        f"after {CG_MAX_ITER} iterations")
+
+
+def _cn_solve(mesh: SurfaceMesh, mass: np.ndarray, dt: float,
+              x: np.ndarray) -> tuple[np.ndarray, int]:
+    """D with (M + dt/2 A) D = -dt A x, for M = diag(mass) and A the cotan stiffness of mesh."""
+    return _jacobi_cg(lambda d: mass[:, None] * d + 0.5 * dt * stiffness_product(mesh, d),
+                      mass + 0.5 * dt * stiffness_diagonal(mesh),
+                      -dt * stiffness_product(mesh, x))
+
+
+def _crank_nicolson_displacement(mesh: SurfaceMesh, dt: float) -> tuple[np.ndarray, list]:
+    """Normal part of the Crank-Nicolson displacement, with the operator at the midpoint.
+
+    The flow M dX/dt = -A(X) X is stepped as (M + dt/2 A) D = -dt A X^n
+    with M (the mixed areas) and A (the cotan stiffness) taken at the
+    midpoint X~.  A linearly implicit Euler half step from X^n,
+    (M + dt/2 A) D~ = -(dt/2) A X^n at X^n, gives X~ = X^n + D~ to O(dt^2),
+    which keeps the step second order.  Only D is projected onto the
+    normal planes at X^n: X~ must be the midpoint of the unprojected D (a
+    projected half step measured first order on icosphere(1, 3)).  Returns
+    the displacement and the iteration counts of the two solves.
+    """
+    x = mesh.vertices
+    # the half step's system is the full step's at X^n, with half its right-hand side
+    full, it_half = _cn_solve(mesh, mesh.vertex_area, dt, x)
+    mid = mesh.with_vertices(x + 0.5 * full)
+    disp, it = _cn_solve(mid, mixed_voronoi_areas(mid), dt, x)
+    return _normal_part(mesh.normal, disp), [it_half, it]
+
+
+def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
+    """One step of the cotan mean curvature flow, by cfg.scheme.
+
+    explicit: X + dt H with dt = cfl * min(min vertex area, 1 / max |A|^2).
+    crank_nicolson: X + D from _crank_nicolson_displacement, second order in
+    time, with dt = cfl / max |A|^2.  Either step is rejected (and dt
+    halved) on total-area increase or tangent-projected triangle inversion,
+    raising StepTooLarge after ten rejections; a non-finite candidate raises
+    NonFiniteStep.  Returns the stepped mesh, with its geometry caches
+    recovered and its StepInfo as step_info, and dt.
 
     The velocity is the normal-bundle projection of the cotan mean
     curvature vector (its tangential residue is a spurious drift that
@@ -245,11 +353,15 @@ def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
     if not mesh.geometry_recovered:
         recover_geometry(mesh)
     max_a2 = float(np.max(mesh.norm_a2()))
-    dt = cfg.cfl * min(float(np.min(mesh.vertex_area)), 1.0 / max_a2)
+    area_bound = float(np.min(mesh.vertex_area))
+    if cfg.scheme == "explicit" and area_bound <= 1.0 / max_a2:
+        dt, limiter = cfg.cfl * area_bound, "area"
+    else:
+        dt, limiter = cfg.cfl * (1.0 / max_a2), "curvature"
+    info = StepInfo(dt=dt, nominal_dt=dt, limiter=limiter, rejections=[], cg_iterations=[])
     area0 = mesh.total_area()
     nor = mesh.normal
-    vel = mesh.mean_curv_cot
-    vel = np.einsum("nia,na->ni", nor, np.einsum("nia,ni->na", nor, vel))
+    vel = _normal_part(nor, mesh.mean_curv_cot)
     shift = np.zeros_like(vel)
     if cfg.redistribution > 0:
         topo = mesh._topo
@@ -257,19 +369,30 @@ def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
         cent = (mesh.vertices[idx1] * mask1[:, :, None]).sum(axis=1) \
             / mask1.sum(axis=1)[:, None]
         g = cent - mesh.vertices
-        g_tan = g - np.einsum("nia,na->ni", nor, np.einsum("nia,ni->na", nor, g))
-        shift = cfg.redistribution * g_tan
+        shift = cfg.redistribution * (g - _normal_part(nor, g))
     for _ in range(10):
-        cand = mesh.vertices + dt * vel + shift
+        if cfg.scheme == "explicit":
+            disp = dt * vel
+        else:
+            disp, iters = _crank_nicolson_displacement(mesh, dt)
+            info.cg_iterations += iters
+        cand = mesh.vertices + disp + shift
+        # NaN passes both rejection tests below
+        if not np.isfinite(cand).all():
+            raise NonFiniteStep(f"non-finite candidate vertex at dt = {dt:.3e}")
         if _triangle_inverted(mesh.vertices[mesh.triangles], cand[mesh.triangles]):
+            info.rejections.append("inversion")
             dt *= 0.5
             continue
         # the area test fills the candidate's triangle cache for recover_geometry
         new_mesh = mesh.with_vertices(cand)
         if new_mesh.total_area() >= area0:
+            info.rejections.append("area")
             dt *= 0.5
             continue
         recover_geometry(new_mesh)
+        info.dt = dt
+        new_mesh.step_info = info
         return new_mesh, dt
     raise StepTooLarge(f"step rejected after 10 halvings (dt = {dt:.3e})")
 
@@ -289,6 +412,8 @@ class FlowResult:
     status: str            # blowup_threshold | max_steps | mesh_quality
     r0: float
     stop_a2: float
+    rejections: dict       # rejected attempts by reason, over the run
+    limiters: dict         # accepted steps by the bound that set their nominal dt
 
 
 def run_flow(mesh: SurfaceMesh, cfg: FlowConfig) -> FlowResult:
@@ -308,9 +433,14 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig) -> FlowResult:
     snapshots = [Snapshot(0, 0.0, max_a2, mesh)]
     t = 0.0
     status = "max_steps"
+    rejections = {"inversion": 0, "area": 0}
+    limiters = {"area": 0, "curvature": 0}
     for step in range(1, cfg.max_steps + 1):
         mesh, dt = step_mcf(mesh, cfg)
         t += dt
+        limiters[mesh.step_info.limiter] += 1
+        for reason in mesh.step_info.rejections:
+            rejections[reason] += 1
         max_a2 = float(np.max(mesh.norm_a2()))
         want_snapshot = max_a2 >= 2.0 * snapshots[-1].max_a2
         done = max_a2 >= stop_a2
@@ -327,7 +457,7 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig) -> FlowResult:
             status = "mesh_quality"
             break
     return FlowResult(trace=trace, snapshots=snapshots, status=status,
-                      r0=r0, stop_a2=stop_a2)
+                      r0=r0, stop_a2=stop_a2, rejections=rejections, limiters=limiters)
 
 
 # ---------------------------------------------------------------------------

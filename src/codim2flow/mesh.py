@@ -85,6 +85,7 @@ class SurfaceMesh:
         self.frame_c = None
         # (areas, squared edge lengths, corner cotangents), filled by triangle_areas
         self._tri = None
+        self.step_info = None        # flow.StepInfo of the step that made this mesh
 
     # -- derived topology ---------------------------------------------------
 
@@ -206,9 +207,10 @@ def _build_topology(n_vertices: int, triangles: np.ndarray) -> dict:
 # geometry recovery
 
 
-def _mixed_voronoi_areas(mesh: SurfaceMesh) -> np.ndarray:
-    """Meyer-style mixed areas: Voronoi for non-obtuse corners, else split."""
-    area, sq, cots = mesh._tri
+def mixed_voronoi_areas(mesh: SurfaceMesh) -> np.ndarray:
+    """Meyer-style mixed areas, the lumped mass: Voronoi for non-obtuse corners, else split."""
+    area = mesh.triangle_areas()
+    _, sq, cots = mesh._tri
     sc = sq * cots
     # Voronoi share of corner i: its two edges, each weighted by the cotangent opposite it
     vor = 0.125 * (sc[:, [1, 2, 0]] + sc[:, [2, 0, 1]])
@@ -218,17 +220,41 @@ def _mixed_voronoi_areas(mesh: SurfaceMesh) -> np.ndarray:
     return np.bincount(mesh.triangles.ravel(), contrib.ravel(), minlength=mesh.n_vertices)
 
 
-def _cotan_mean_curvature(mesh: SurfaceMesh) -> np.ndarray:
-    """Delta_g F per vertex, over the mixed areas: the discrete mean curvature vector in R^4."""
-    v = mesh.vertices
-    j, k = mesh.triangles[:, [1, 2, 0]], mesh.triangles[:, [2, 0, 1]]
+def _opposite_edges(mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, 3) ends j, k of the edge opposite each triangle corner."""
+    return mesh.triangles[:, [1, 2, 0]], mesh.triangles[:, [2, 0, 1]]
+
+
+def stiffness_product(mesh: SurfaceMesh, x: np.ndarray) -> np.ndarray:
+    """A x for the cotan stiffness matrix A and (n, p) vertex values x.
+
+    (A x)_j = (1/2) sum over the edges (j, k) of (cot alpha + cot beta)(x_j - x_k),
+    the angles opposite the edge.  A is symmetric and positive semidefinite,
+    and Delta_g F = -A F / (mixed area).  Reads the triangle cache, so
+    triangle_areas must have run on the mesh.
+    """
+    j, k = _opposite_edges(mesh)
     # corner i's cotangent weights the opposite edge (j, k)
-    d = (v[k] - v[j]) * mesh._tri[2][:, :, None]
-    # edge (j, k) adds d at j and -d at k: one scatter per coordinate
+    d = (x[k] - x[j]) * mesh._tri[2][:, :, None]
+    # edge (j, k) adds d at j and -d at k: one scatter per column
     ends = np.concatenate([j.ravel(), k.ravel()])
     acc = np.stack([np.bincount(ends, np.concatenate([d[..., i].ravel(), -d[..., i].ravel()]),
-                                minlength=mesh.n_vertices) for i in range(4)], axis=1)
-    return acc / (2.0 * np.maximum(mesh.vertex_area, 1e-300))[:, None]
+                                minlength=mesh.n_vertices) for i in range(x.shape[1])], axis=1)
+    return -0.5 * acc
+
+
+def stiffness_diagonal(mesh: SurfaceMesh) -> np.ndarray:
+    """(n,) diagonal of the cotan stiffness matrix; reads the triangle cache."""
+    j, k = _opposite_edges(mesh)
+    cots = mesh._tri[2].ravel()
+    return 0.5 * np.bincount(np.concatenate([j.ravel(), k.ravel()]), np.concatenate([cots, cots]),
+                             minlength=mesh.n_vertices)
+
+
+def _cotan_mean_curvature(mesh: SurfaceMesh) -> np.ndarray:
+    """Delta_g F per vertex, over the mixed areas: the discrete mean curvature vector in R^4."""
+    # -(-acc / 2) / area rounds exactly as acc / (2 area): both scalings are by powers of two
+    return -stiffness_product(mesh, mesh.vertices) / np.maximum(mesh.vertex_area, 1e-300)[:, None]
 
 
 def _gram_schmidt_pair(vecs: np.ndarray) -> np.ndarray:
@@ -404,8 +430,7 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     mc_alpha = shape[:, 0, 0, :] + shape[:, 1, 1, :]
     mc_jet = np.einsum("nia,na->ni", normal, mc_alpha)
 
-    mesh.triangle_areas()  # fills the triangle cache that the two helpers read
-    mesh.vertex_area = _mixed_voronoi_areas(mesh)
+    mesh.vertex_area = mixed_voronoi_areas(mesh)  # also fills the triangle cache
     mesh.tangent = tangent
     mesh.normal = normal
     mesh.shape = shape

@@ -182,7 +182,10 @@ def test_run_scenario_artifacts(tmp_path):
     assert mesh.n_vertices == 162
     fields = (out / "snapshots" / "snap_000_fields.csv").read_text().splitlines()
     assert fields[0] == "vertex,H,A2,Q,fsigma,K,Kperp"
-    assert (out / "run.json").exists()
+    assert summary["rejections"].keys() == {"inversion", "area"}
+    assert summary["limiter_steps"].keys() == {"area", "curvature"}
+    assert sum(summary["limiter_steps"].values()) == summary["steps"]
+    assert json.loads((out / "run.json").read_text())["limiter_steps"] == summary["limiter_steps"]
     assert (out / "rescale_summary.json").exists()
     for col in TRACE_COLUMNS:
         if col != "t":
@@ -287,7 +290,8 @@ def test_bad_off4_topology_is_config_error(tmp_path, verts, faces):
 
 @pytest.mark.parametrize("bad", [{"output_every": 0}, {"poincare_every": 0},
                                  {"max_steps": -1}, {"cfl": '"abc"'},
-                                 {"p": 1}, {"eta": -1}, {"sigma": 1.5}])
+                                 {"p": 1}, {"eta": -1}, {"sigma": 1.5},
+                                 {"scheme": "bogus"}])
 def test_bad_flow_config_values_are_config_errors(tmp_path, bad):
     cfg = tiny_scenario(tmp_path, **bad)
     assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 2
@@ -315,6 +319,16 @@ def test_cmd_flow_parallel_jobs(tmp_path):
     assert rc == 0
     assert (tmp_path / "runs" / "tiny_sphere" / "trace.csv").exists()
     assert (tmp_path / "runs" / "tiny_b" / "trace.csv").exists()
+
+
+def test_cmd_flow_duplicate_output_dirs_are_config_error(tmp_path):
+    # a/run.cfg and b/run.cfg would both write runs/run
+    cfgs = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        cfgs.append(str(tiny_scenario(tmp_path / sub).rename(tmp_path / sub / "run.cfg")))
+    assert main(["--out", str(tmp_path / "runs"), "flow", *cfgs]) == 2
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cmd_flow_jobs_capped_at_scenario_count(tmp_path, monkeypatch):

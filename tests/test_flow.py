@@ -4,18 +4,27 @@ import math
 import numpy as np
 import pytest
 
+import codim2flow.flow as flowmod
 from codim2flow.builders import ellipsoid_plus_bump, icosphere, product_torus
+from codim2flow.cli import SCENARIO_PRESETS, build_surface
 from codim2flow.errors import (
     EpsilonZNotPositive,
     InsufficientDynamicRange,
     NoBlowupDetected,
+    NonFiniteStep,
     StepTooLarge,
 )
 from codim2flow.flow import (
+    CG_MAX_ITER,
+    CG_RTOL,
     TRACE_COLUMNS,
     FlowConfig,
     FlowTrace,
     TraceRow,
+    _cn_solve,
+    _crank_nicolson_displacement,
+    _jacobi_cg,
+    _normal_part,
     _triangle_inverted,
     decay_exponent_fit,
     monitors,
@@ -24,7 +33,7 @@ from codim2flow.flow import (
     step_mcf,
     type_i_rescale,
 )
-from codim2flow.mesh import recover_geometry
+from codim2flow.mesh import recover_geometry, stiffness_product
 
 
 def small_cfg(**kw):
@@ -67,6 +76,14 @@ def test_cfl_validated():
         FlowConfig(cfl=0.7)
 
 
+def test_scheme_validated():
+    assert FlowConfig().scheme == "explicit"
+    assert FlowConfig(scheme="crank_nicolson").scheme == "crank_nicolson"
+    for bad in ("bogus", 1.0, None):
+        with pytest.raises(ValueError, match="scheme"):
+            FlowConfig(scheme=bad)
+
+
 def test_epsilon_z_resolution():
     cfg = FlowConfig()
     ez = cfg.resolved_epsilon_z()
@@ -98,9 +115,121 @@ def test_step_dt_rule():
     recover_geometry(m)
     na2 = m.frame_h ** 2 / 2 + 2 * (m.frame_a ** 2 + m.frame_b ** 2 + m.frame_c ** 2)
     cfg = small_cfg(cfl=0.2)
-    _, dt = step_mcf(m, cfg)
+    m2, dt = step_mcf(m, cfg)
     assert dt == pytest.approx(0.2 * min(float(np.min(m.vertex_area)),
                                          1.0 / float(np.max(na2))), rel=1e-12)
+    info = m2.step_info
+    assert (info.dt, info.nominal_dt, info.limiter) == (dt, dt, "area")
+    assert info.rejections == [] and info.cg_iterations == []
+    # Crank-Nicolson: the curvature bound alone, two solves per attempt
+    m3, dt = step_mcf(m, small_cfg(cfl=0.01, scheme="crank_nicolson"))
+    assert dt == pytest.approx(0.01 / float(np.max(na2)), rel=1e-12)
+    assert m3.step_info.limiter == "curvature"
+    assert len(m3.step_info.cg_iterations) == 2
+    assert all(0 < it < CG_MAX_ITER for it in m3.step_info.cg_iterations)
+
+
+def test_step_info_records_each_rejection(monkeypatch):
+    m = recover_geometry(icosphere(1.0, 2))
+    real = flowmod._triangle_inverted
+    calls = []
+
+    def inverted_once(p, q):
+        calls.append(1)
+        return len(calls) == 1 or real(p, q)
+
+    monkeypatch.setattr(flowmod, "_triangle_inverted", inverted_once)
+    for scheme in ("explicit", "crank_nicolson"):
+        calls.clear()
+        m2, dt = step_mcf(m, small_cfg(cfl=0.05, scheme=scheme))
+        info = m2.step_info
+        assert info.rejections == ["inversion"]
+        assert info.dt == dt == 0.5 * info.nominal_dt
+        assert len(info.cg_iterations) == (0 if scheme == "explicit" else 4)
+
+
+def test_nonfinite_candidate_is_never_accepted():
+    # a NaN candidate fails neither the inversion nor the area test
+    m = recover_geometry(icosphere(1.0, 2))
+    m.mean_curv_cot[0] = np.nan
+    with pytest.raises(NonFiniteStep, match="non-finite candidate"):
+        step_mcf(m, small_cfg())
+
+
+def test_cg_columns_converge_independently(rng):
+    # a zero column is done at once and a converged column is left alone:
+    # dividing by its vanished residual would turn it into NaN
+    q = rng.standard_normal((30, 30))
+    k = q @ q.T + 30 * np.eye(30)
+    b = np.stack([rng.standard_normal(30), np.zeros(30), 1e-6 * rng.standard_normal(30)], axis=1)
+    x, iters = _jacobi_cg(lambda p: k @ p, np.diag(k).copy(), b)
+    assert np.all(x[:, 1] == 0) and 0 < iters < 30
+    res = np.linalg.norm(b - k @ x, axis=0)
+    assert np.all(res <= CG_RTOL * np.linalg.norm(b, axis=0))
+
+
+def test_cg_failure_raises(monkeypatch):
+    with pytest.raises(NonFiniteStep, match="non-finite"):
+        _jacobi_cg(lambda p: p, np.ones(3), np.array([[np.nan], [0.0], [1.0]]))
+    monkeypatch.setattr(flowmod, "CG_MAX_ITER", 2)
+    m = recover_geometry(icosphere(1.0, 2))
+    with pytest.raises(NonFiniteStep, match="not converged"):
+        step_mcf(m, small_cfg(cfl=0.01, scheme="crank_nicolson"))
+
+
+@pytest.mark.parametrize("preset", ["sphere_r1", "pinched_ellipsoid"])
+def test_cg_residual_within_tolerance(preset):
+    sc = SCENARIO_PRESETS[preset]
+    m = recover_geometry(build_surface(sc))
+    # the step size the scheme would take at the preset's cfl
+    dt = sc["cfl"] / float(np.max(m.norm_a2()))
+    d, iters = _cn_solve(m, m.vertex_area, dt, m.vertices)
+    b = -dt * stiffness_product(m, m.vertices)
+    res = b - (m.vertex_area[:, None] * d + 0.5 * dt * stiffness_product(m, d))
+    assert np.all(np.linalg.norm(res, axis=0) <= CG_RTOL * np.linalg.norm(b, axis=0))
+    assert 0 < iters < CG_MAX_ITER
+
+
+T_ORDER = 0.02
+
+
+@pytest.fixture(scope="module")
+def fixed_dt_runs():
+    """Vertices of icosphere(1, 3) at t = T_ORDER after n equal steps, by scheme.
+
+    The displacements are the steps' own, without the tangential
+    relaxation, so the time error is the scheme's alone.
+    """
+    def run(scheme, n):
+        m, dt = recover_geometry(icosphere(1.0, 3)), T_ORDER / n
+        for _ in range(n):
+            if scheme == "explicit":
+                d = dt * _normal_part(m.normal, m.mean_curv_cot)
+            else:
+                d, _ = _crank_nicolson_displacement(m, dt)
+            m = recover_geometry(m.with_vertices(m.vertices + d))
+        return m.vertices
+
+    runs = {(s, n): run(s, n) for s in ("explicit", "crank_nicolson") for n in (4, 8, 16)}
+    runs["reference"] = run("crank_nicolson", 64)
+    return runs
+
+
+@pytest.mark.parametrize("scheme, low, high", [("crank_nicolson", 3.2, 5.0),
+                                               ("explicit", 1.7, 2.3)])
+def test_time_error_order(fixed_dt_runs, scheme, low, high):
+    # error against a small-dt Crank-Nicolson run on the same mesh, so the
+    # spatial error cancels: second order falls 4x per halving of dt, first order 2x
+    errs = [np.abs(fixed_dt_runs[scheme, n] - fixed_dt_runs["reference"]).max()
+            for n in (4, 8, 16)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert low < coarse / fine < high
+
+
+def test_schemes_agree_to_first_order(fixed_dt_runs):
+    for n in (4, 8, 16):
+        gap = np.abs(fixed_dt_runs["crank_nicolson", n] - fixed_dt_runs["explicit", n]).max()
+        assert gap <= 0.1 * T_ORDER / n
 
 
 def test_nan_frame_entry_keeps_dt_and_stop_rules(monkeypatch):

@@ -12,6 +12,8 @@ from codim2flow.mesh import (
     read_off4,
     recover_geometry,
     shape_gradient_norm2,
+    stiffness_diagonal,
+    stiffness_product,
     vertex_gradients,
     write_off4,
 )
@@ -186,6 +188,15 @@ def test_cotan_scatter_matches_add_at_reference(torus48):
     np.add.at(acc, j, d)
     np.add.at(acc, k, -d)
     assert np.array_equal(m.mean_curv_cot, acc / (2.0 * m.vertex_area)[:, None])
+
+
+def test_stiffness_matrix_symmetric_psd_with_its_diagonal():
+    m = recover_geometry(icosphere(1.0, 1))
+    a = stiffness_product(m, np.eye(m.n_vertices))   # column i is A e_i
+    assert np.allclose(a, a.T, atol=1e-13)
+    assert np.allclose(a.sum(axis=1), 0.0, atol=1e-13)   # constants are in the kernel
+    assert np.linalg.eigvalsh(a).min() > -1e-12
+    assert np.array_equal(np.diag(a), stiffness_diagonal(m))
 
 
 def test_simons_identity_on_recovered_tensors(sphere4, rng):
