@@ -37,19 +37,16 @@ from .identities import identity_report
 from .mesh import read_off4, write_off4
 
 SCENARIO_PRESETS = {
-    # exact-solution oracle: radius tracks sqrt(1 - 4t).  Crank-Nicolson at
-    # cfl 0.01 (dt = r^2 / 200) holds the worst radius error to r = 0.2 at
-    # 0.12%; the error grows 4x per doubling of cfl, 1.8% at cfl 0.04
+    # exact-solution oracle: radius tracks sqrt(1 - 4t)
     "sphere_r1": {
         "name": "sphere_r1", "surface": "icosphere", "r": 1.0, "subdivisions": 4,
-        "scheme": "crank_nicolson", "cfl": 0.01, "stop_a2": 2.0 / 0.2 ** 2 * 1.05,
-        "output_every": 10, "k": 29.0 / 40.0,
+        "stop_a2": 2.0 / 0.2 ** 2 * 1.05, "output_every": 10, "k": 29.0 / 40.0,
     },
     # negative control: |A|^2 = |H|^2, pinching hypothesis violated
     "clifford_r1": {
         "name": "clifford_r1", "surface": "product_torus", "r1": 1.0, "r2": 1.0,
-        "n1": 48, "n2": 48, "scheme": "crank_nicolson", "cfl": 0.01,
-        "stop_a2": 2.0 / 0.3 ** 2 * 1.05, "output_every": 10, "k": 29.0 / 40.0,
+        "n1": 48, "n2": 48, "stop_a2": 2.0 / 0.3 ** 2 * 1.05, "output_every": 10,
+        "k": 29.0 / 40.0,
     },
     # pinched, genuinely codimension-two initial data run into the blowup;
     # subdivision 3 holds monitor noise well below the acceptance bands and
@@ -57,8 +54,7 @@ SCENARIO_PRESETS = {
     "pinched_ellipsoid": {
         "name": "pinched_ellipsoid", "surface": "ellipsoid_plus_bump",
         "a1": 1.2, "a2": 1.0, "a3": 0.9, "eps4": 0.05, "subdivisions": 3,
-        "cfl": 0.2, "stop_factor": 1e4, "output_every": 1,
-        "k": 29.0 / 40.0,
+        "stop_factor": 1e4, "output_every": 1, "k": 29.0 / 40.0,
     },
 }
 
@@ -222,7 +218,7 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
         "hypothesis_violated": bool(trace.rows[0].maxQ >= 0),
         "decay_fit": decay,
         "rejections": result.rejections,
-        "limiter_steps": result.limiters,
+        "max_h_gap": result.max_h_gap,
     }
     with open(out / "run.json", "w") as fh:
         json.dump(summary, fh, indent=1)

@@ -38,7 +38,7 @@ class NoBlowupDetected(Codim2FlowError):
 
 
 class StepTooLarge(Codim2FlowError):
-    """Explicit step rejected repeatedly (area increase or inversion)."""
+    """Flow step rejected repeatedly (area increase or inversion)."""
 
 
 class DegenerateNeighborhood(Codim2FlowError):

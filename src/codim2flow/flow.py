@@ -1,13 +1,10 @@
 """Mean curvature flow of closed surfaces in R^4 with monitors.
 
-Each step moves every vertex along the normal part of a cotan
-displacement: the explicit scheme takes dt times the cotan mean curvature
-vector, with a timestep limited by both the finest vertex area and the
-largest curvature; the Crank-Nicolson scheme solves a linear system with
-the cotan stiffness at the step's midpoint, with a timestep limited by the
-curvature alone.  Steps that increase total area or invert a triangle in
-its own tangent projection are rejected and retried at half the step, up
-to ten halvings.
+Each step moves every vertex along the normal part of a Crank-Nicolson
+cotan displacement: a linear system with the cotan stiffness at the
+step's midpoint, with a timestep limited by the largest curvature.  Steps
+that increase total area or invert a triangle in its own tangent
+projection are rejected and retried at half the step, up to ten halvings.
 
 The trace records, per accepted step, the pinching and decay monitors
 derived from the jet-fit curvature: extremes of |H|, |A|^2, the pinching
@@ -47,8 +44,6 @@ TRACE_COLUMNS = ["step", "t", "dt", "minH", "maxA2", "maxQ", "maxFsigma", "area"
                  "intFsigmaP", "posBoundSlack", "zRatioMin", "poincareSlack",
                  "rescaledMaxAcirc2"]
 
-SCHEMES = ("explicit", "crank_nicolson")
-
 # Each coordinate's conjugate-gradient solve stops once its residual is at
 # most CG_RTOL times its right-hand side; CG_MAX_ITER iterations without
 # that end the step with NonFiniteStep.
@@ -63,7 +58,10 @@ class FlowConfig:
     eps: float = 0.0
     sigma: float = 0.05
     p: float = 10.0
-    cfl: float = 0.2
+    # dt = cfl / max |A|^2.  At 0.01 (dt = r^2 / 200 on a sphere) the
+    # sphere_r1 oracle holds its worst radius error to r = 0.2 at 0.12%;
+    # the error grows 4x per doubling of cfl
+    cfl: float = 0.01
     stop_a2: float | None = None        # defaults to stop_factor x initial max |A|^2
     stop_factor: float = 1e4
     max_steps: int = 100_000
@@ -74,14 +72,9 @@ class FlowConfig:
     poincare_every: int = 25
     min_angle_deg: float = 5.0
     redistribution: float = 0.2         # per-step tangential relaxation factor
-    scheme: str = "explicit"            # or "crank_nicolson"; see step_mcf
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}, got {self.scheme!r}")
         for f in fields(self):
-            if f.name == "scheme":
-                continue
             v = getattr(self, f.name)
             if v is None and f.default is None:
                 continue
@@ -257,9 +250,16 @@ class StepInfo:
     """How one accepted step came about."""
     dt: float
     nominal_dt: float      # before any halving
-    limiter: str           # the bound that set nominal_dt: "area" or "curvature"
     rejections: list       # one reason per halving: "inversion" or "area"
     cg_iterations: list    # per linear solve, the most iterations any coordinate took
+    h_gap: float           # largest relative jet/cotan |H| gap on the accepted mesh
+
+
+def _h_gap(mesh: SurfaceMesh) -> float:
+    """Largest relative gap between the jet-fit and the cotan |H| over the vertices."""
+    h_jet = np.linalg.norm(mesh.mean_curv_jet, axis=1)
+    h_cot = np.linalg.norm(mesh.mean_curv_cot, axis=1)
+    return float(np.max(np.abs(h_jet - h_cot) / h_cot))
 
 
 def _normal_part(nor: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -333,36 +333,30 @@ def _crank_nicolson_displacement(mesh: SurfaceMesh, dt: float) -> tuple[np.ndarr
 
 
 def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
-    """One step of the cotan mean curvature flow, by cfg.scheme.
+    """One Crank-Nicolson step of the cotan mean curvature flow.
 
-    explicit: X + dt H with dt = cfl * min(min vertex area, 1 / max |A|^2).
-    crank_nicolson: X + D from _crank_nicolson_displacement, second order in
-    time, with dt = cfl / max |A|^2.  Either step is rejected (and dt
-    halved) on total-area increase or tangent-projected triangle inversion,
-    raising StepTooLarge after ten rejections; a non-finite candidate raises
+    X + D with D from _crank_nicolson_displacement, second order in time,
+    and dt = cfl / max |A|^2.  The step is rejected (and dt halved) on
+    total-area increase or tangent-projected triangle inversion, raising
+    StepTooLarge after ten rejections; a non-finite candidate raises
     NonFiniteStep.  Returns the stepped mesh, with its geometry caches
     recovered and its StepInfo as step_info, and dt.
 
-    The velocity is the normal-bundle projection of the cotan mean
-    curvature vector (its tangential residue is a spurious drift that
-    shears the mesh without moving the surface), and each step adds a
-    purely tangential relaxation toward the 1-ring centroid.  Both are
-    reparametrizations: the evolving surface is the same, but the mesh
-    stays uniform enough to survive the full curvature blowup.
+    The displacement is projected onto the normal bundle (its tangential
+    residue is a spurious drift that shears the mesh without moving the
+    surface), and each step adds a purely tangential relaxation toward the
+    1-ring centroid.  Both are reparametrizations: the evolving surface is
+    the same, but the mesh stays uniform enough to survive the full
+    curvature blowup.
     """
     if not mesh.geometry_recovered:
         recover_geometry(mesh)
     max_a2 = float(np.max(mesh.norm_a2()))
-    area_bound = float(np.min(mesh.vertex_area))
-    if cfg.scheme == "explicit" and area_bound <= 1.0 / max_a2:
-        dt, limiter = cfg.cfl * area_bound, "area"
-    else:
-        dt, limiter = cfg.cfl * (1.0 / max_a2), "curvature"
-    info = StepInfo(dt=dt, nominal_dt=dt, limiter=limiter, rejections=[], cg_iterations=[])
+    dt = nominal_dt = cfg.cfl * (1.0 / max_a2)
+    rejections, cg_iterations = [], []
     area0 = mesh.total_area()
     nor = mesh.normal
-    vel = _normal_part(nor, mesh.mean_curv_cot)
-    shift = np.zeros_like(vel)
+    shift = np.zeros_like(mesh.vertices)
     if cfg.redistribution > 0:
         topo = mesh._topo
         idx1, mask1 = topo["ring1_idx"], topo["ring1_mask"]
@@ -371,28 +365,25 @@ def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
         g = cent - mesh.vertices
         shift = cfg.redistribution * (g - _normal_part(nor, g))
     for _ in range(10):
-        if cfg.scheme == "explicit":
-            disp = dt * vel
-        else:
-            disp, iters = _crank_nicolson_displacement(mesh, dt)
-            info.cg_iterations += iters
+        disp, iters = _crank_nicolson_displacement(mesh, dt)
+        cg_iterations += iters
         cand = mesh.vertices + disp + shift
         # NaN passes both rejection tests below
         if not np.isfinite(cand).all():
             raise NonFiniteStep(f"non-finite candidate vertex at dt = {dt:.3e}")
         if _triangle_inverted(mesh.vertices[mesh.triangles], cand[mesh.triangles]):
-            info.rejections.append("inversion")
+            rejections.append("inversion")
             dt *= 0.5
             continue
         # the area test fills the candidate's triangle cache for recover_geometry
         new_mesh = mesh.with_vertices(cand)
         if new_mesh.total_area() >= area0:
-            info.rejections.append("area")
+            rejections.append("area")
             dt *= 0.5
             continue
         recover_geometry(new_mesh)
-        info.dt = dt
-        new_mesh.step_info = info
+        new_mesh.step_info = StepInfo(dt, nominal_dt, rejections, cg_iterations,
+                                      _h_gap(new_mesh))
         return new_mesh, dt
     raise StepTooLarge(f"step rejected after 10 halvings (dt = {dt:.3e})")
 
@@ -413,7 +404,7 @@ class FlowResult:
     r0: float
     stop_a2: float
     rejections: dict       # rejected attempts by reason, over the run
-    limiters: dict         # accepted steps by the bound that set their nominal dt
+    max_h_gap: float       # largest StepInfo.h_gap over the run
 
 
 def run_flow(mesh: SurfaceMesh, cfg: FlowConfig) -> FlowResult:
@@ -434,11 +425,12 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig) -> FlowResult:
     t = 0.0
     status = "max_steps"
     rejections = {"inversion": 0, "area": 0}
-    limiters = {"area": 0, "curvature": 0}
+    max_h_gap = 0.0
     for step in range(1, cfg.max_steps + 1):
         mesh, dt = step_mcf(mesh, cfg)
         t += dt
-        limiters[mesh.step_info.limiter] += 1
+        # np.maximum, not max: a NaN gap is kept, not dropped
+        max_h_gap = float(np.maximum(max_h_gap, mesh.step_info.h_gap))
         for reason in mesh.step_info.rejections:
             rejections[reason] += 1
         max_a2 = float(np.max(mesh.norm_a2()))
@@ -457,7 +449,7 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig) -> FlowResult:
             status = "mesh_quality"
             break
     return FlowResult(trace=trace, snapshots=snapshots, status=status,
-                      r0=r0, stop_a2=stop_a2, rejections=rejections, limiters=limiters)
+                      r0=r0, stop_a2=stop_a2, rejections=rejections, max_h_gap=max_h_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import codim2flow.flow as flowmod
 from codim2flow.builders import ellipsoid_plus_bump, icosphere, product_torus
-from codim2flow.cli import SCENARIO_PRESETS, build_surface
+from codim2flow.cli import SCENARIO_PRESETS, build_surface, flow_config
 from codim2flow.errors import (
     EpsilonZNotPositive,
     InsufficientDynamicRange,
@@ -44,14 +44,14 @@ def small_cfg(**kw):
 @pytest.fixture(scope="module")
 def sphere_run():
     m = icosphere(1.0, 3)
-    cfg = small_cfg(cfl=0.1, stop_a2=2.0 / 0.08 ** 2, output_every=5, poincare_every=100)
+    cfg = small_cfg(stop_a2=2.0 / 0.08 ** 2, output_every=5, poincare_every=100)
     return run_flow(m, cfg)
 
 
 @pytest.fixture(scope="module")
 def pinched_run():
     m = ellipsoid_plus_bump(1.2, 1.0, 0.9, 0.05, subdivisions=3)
-    cfg = small_cfg(cfl=0.2, output_every=2, poincare_every=40)
+    cfg = small_cfg(output_every=2, poincare_every=40)
     recover_geometry(m)
     na2 = m.frame_h ** 2 / 2 + 2 * (m.frame_a ** 2 + m.frame_b ** 2 + m.frame_c ** 2)
     cfg.stop_a2 = 300.0 * float(np.max(na2))
@@ -76,14 +76,6 @@ def test_cfl_validated():
         FlowConfig(cfl=0.7)
 
 
-def test_scheme_validated():
-    assert FlowConfig().scheme == "explicit"
-    assert FlowConfig(scheme="crank_nicolson").scheme == "crank_nicolson"
-    for bad in ("bogus", 1.0, None):
-        with pytest.raises(ValueError, match="scheme"):
-            FlowConfig(scheme=bad)
-
-
 def test_epsilon_z_resolution():
     cfg = FlowConfig()
     ez = cfg.resolved_epsilon_z()
@@ -102,7 +94,7 @@ def test_single_step_first_order_consistency():
     area0 = m.total_area()
     int_h2 = float(np.sum(np.einsum("ni,ni->n", m.mean_curv_cot, m.mean_curv_cot)
                           * m.vertex_area))
-    m2, dt = step_mcf(m, small_cfg(cfl=0.05, redistribution=0.0))
+    m2, dt = step_mcf(m, small_cfg(redistribution=0.0))
     # positions move by O(dt), area drops by dt * int |H|^2 + O(dt^2)
     disp = np.linalg.norm(m2.vertices - m.vertices, axis=1).max()
     assert disp <= dt * (1.01 * np.linalg.norm(m.mean_curv_cot, axis=1).max())
@@ -114,19 +106,13 @@ def test_step_dt_rule():
     m = icosphere(1.0, 2)
     recover_geometry(m)
     na2 = m.frame_h ** 2 / 2 + 2 * (m.frame_a ** 2 + m.frame_b ** 2 + m.frame_c ** 2)
-    cfg = small_cfg(cfl=0.2)
-    m2, dt = step_mcf(m, cfg)
-    assert dt == pytest.approx(0.2 * min(float(np.min(m.vertex_area)),
-                                         1.0 / float(np.max(na2))), rel=1e-12)
-    info = m2.step_info
-    assert (info.dt, info.nominal_dt, info.limiter) == (dt, dt, "area")
-    assert info.rejections == [] and info.cg_iterations == []
-    # Crank-Nicolson: the curvature bound alone, two solves per attempt
-    m3, dt = step_mcf(m, small_cfg(cfl=0.01, scheme="crank_nicolson"))
+    # the curvature bound alone, two solves per attempt
+    m2, dt = step_mcf(m, small_cfg(cfl=0.01))
     assert dt == pytest.approx(0.01 / float(np.max(na2)), rel=1e-12)
-    assert m3.step_info.limiter == "curvature"
-    assert len(m3.step_info.cg_iterations) == 2
-    assert all(0 < it < CG_MAX_ITER for it in m3.step_info.cg_iterations)
+    info = m2.step_info
+    assert (info.dt, info.nominal_dt, info.rejections) == (dt, dt, [])
+    assert len(info.cg_iterations) == 2
+    assert all(0 < it < CG_MAX_ITER for it in info.cg_iterations)
 
 
 def test_step_info_records_each_rejection(monkeypatch):
@@ -139,21 +125,32 @@ def test_step_info_records_each_rejection(monkeypatch):
         return len(calls) == 1 or real(p, q)
 
     monkeypatch.setattr(flowmod, "_triangle_inverted", inverted_once)
-    for scheme in ("explicit", "crank_nicolson"):
-        calls.clear()
-        m2, dt = step_mcf(m, small_cfg(cfl=0.05, scheme=scheme))
-        info = m2.step_info
-        assert info.rejections == ["inversion"]
-        assert info.dt == dt == 0.5 * info.nominal_dt
-        assert len(info.cg_iterations) == (0 if scheme == "explicit" else 4)
+    m2, dt = step_mcf(m, small_cfg(cfl=0.05))
+    info = m2.step_info
+    assert info.rejections == ["inversion"]
+    assert info.dt == dt == 0.5 * info.nominal_dt
+    assert len(info.cg_iterations) == 4
 
 
 def test_nonfinite_candidate_is_never_accepted():
-    # a NaN candidate fails neither the inversion nor the area test
+    # a NaN candidate fails neither the inversion nor the area test; a NaN
+    # normal reaches the candidate through the displacement's projection
     m = recover_geometry(icosphere(1.0, 2))
-    m.mean_curv_cot[0] = np.nan
+    m.normal[0] = np.nan
     with pytest.raises(NonFiniteStep, match="non-finite candidate"):
         step_mcf(m, small_cfg())
+
+
+def test_step_info_records_cotan_jet_gap():
+    # the jet-fit and cotan |H| agree to a few percent on a coarse sphere; on
+    # the flattened ellipsoid (a3 = 0.1) the jet fit fails at its sharp rim
+    m = step_mcf(recover_geometry(icosphere(1.0, 2)), small_cfg())[0]
+    h_jet = np.linalg.norm(m.mean_curv_jet, axis=1)
+    h_cot = np.linalg.norm(m.mean_curv_cot, axis=1)
+    assert m.step_info.h_gap == np.max(np.abs(h_jet - h_cot) / h_cot)
+    assert 0 < m.step_info.h_gap < 0.05
+    bump = recover_geometry(ellipsoid_plus_bump(1.0, 1.0, 0.1, 0.0, subdivisions=3))
+    assert step_mcf(bump, small_cfg())[0].step_info.h_gap > 100
 
 
 def test_cg_columns_converge_independently(rng):
@@ -174,15 +171,15 @@ def test_cg_failure_raises(monkeypatch):
     monkeypatch.setattr(flowmod, "CG_MAX_ITER", 2)
     m = recover_geometry(icosphere(1.0, 2))
     with pytest.raises(NonFiniteStep, match="not converged"):
-        step_mcf(m, small_cfg(cfl=0.01, scheme="crank_nicolson"))
+        step_mcf(m, small_cfg(cfl=0.01))
 
 
 @pytest.mark.parametrize("preset", ["sphere_r1", "pinched_ellipsoid"])
 def test_cg_residual_within_tolerance(preset):
     sc = SCENARIO_PRESETS[preset]
     m = recover_geometry(build_surface(sc))
-    # the step size the scheme would take at the preset's cfl
-    dt = sc["cfl"] / float(np.max(m.norm_a2()))
+    # the step size the preset would take
+    dt = flow_config(sc).cfl / float(np.max(m.norm_a2()))
     d, iters = _cn_solve(m, m.vertex_area, dt, m.vertices)
     b = -dt * stiffness_product(m, m.vertices)
     res = b - (m.vertex_area[:, None] * d + 0.5 * dt * stiffness_product(m, d))
@@ -246,7 +243,6 @@ def test_nan_frame_entry_keeps_dt_and_stop_rules(monkeypatch):
     monkeypatch.setattr(flowmod, "recover_geometry", recover_with_nan)
     m = recover_with_nan(ellipsoid_plus_bump(1.0, 1.0, 0.2, 0.0, subdivisions=3))
     max_a2 = float(np.max(m.norm_a2()))
-    assert float(np.min(m.vertex_area)) * max_a2 > 1.0  # curvature-limited mesh
     cfg = small_cfg(cfl=0.1)
     _, dt = step_mcf(m, cfg)
     assert dt == pytest.approx(cfg.cfl / max_a2)
@@ -291,7 +287,7 @@ def test_sphere_radius_tracks_exact_solution(sphere_run):
 
 def test_torus_factor_radii_track_exact_solution():
     m = product_torus(1.0, 1.0, 32, 32)
-    cfg = small_cfg(cfl=0.1, stop_a2=2.0 / 0.4 ** 2, output_every=1000)
+    cfg = small_cfg(stop_a2=2.0 / 0.4 ** 2, output_every=1000)
     recover_geometry(m)
     t = 0.0
     while True:
@@ -504,7 +500,7 @@ def test_decay_fit_positive_delta_on_pinched_run(pinched_run):
 
 def test_decay_fit_stable_under_refinement(pinched_run):
     m = ellipsoid_plus_bump(1.2, 1.0, 0.9, 0.05, subdivisions=2)
-    cfg = small_cfg(cfl=0.2, output_every=2, poincare_every=10 ** 9)
+    cfg = small_cfg(output_every=2, poincare_every=10 ** 9)
     recover_geometry(m)
     na2 = m.frame_h ** 2 / 2 + 2 * (m.frame_a ** 2 + m.frame_b ** 2 + m.frame_c ** 2)
     cfg.stop_a2 = 300.0 * float(np.max(na2))
