@@ -18,7 +18,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import builders
@@ -189,7 +189,7 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
             continue
         with open(plot_dir / f"{col}.dat", "w") as fh:
             for ti, vi in zip(t, trace.column(col)):
-                fh.write(f"{ti!r} {vi!r}\n")
+                fh.write(f"{float(ti)!r} {float(vi)!r}\n")
 
     try:
         rescaled = type_i_rescale(result.snapshots, result.stop_a2, cfg.gamma)
@@ -209,6 +209,8 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
 
     summary = {
         "scenario": sc,
+        # run_flow has resolved gamma and epsilon_z
+        "config": asdict(cfg),
         "seed": seed,
         "status": result.status,
         "steps": trace.rows[-1].step,

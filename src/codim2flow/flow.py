@@ -35,8 +35,7 @@ from .mesh import (
     mixed_voronoi_areas,
     recover_geometry,
     shape_gradient_norm2,
-    stiffness_diagonal,
-    stiffness_product,
+    stiffness_operator,
     vertex_gradients,
 )
 
@@ -307,9 +306,9 @@ def _jacobi_cg(apply, diag: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]
 def _cn_solve(mesh: SurfaceMesh, mass: np.ndarray, dt: float,
               x: np.ndarray) -> tuple[np.ndarray, int]:
     """D with (M + dt/2 A) D = -dt A x, for M = diag(mass) and A the cotan stiffness of mesh."""
-    return _jacobi_cg(lambda d: mass[:, None] * d + 0.5 * dt * stiffness_product(mesh, d),
-                      mass + 0.5 * dt * stiffness_diagonal(mesh),
-                      -dt * stiffness_product(mesh, x))
+    product, diagonal = stiffness_operator(mesh)
+    return _jacobi_cg(lambda d: mass[:, None] * d + 0.5 * dt * product(d),
+                      mass + 0.5 * dt * diagonal, -dt * product(x))
 
 
 def _crank_nicolson_displacement(mesh: SurfaceMesh, dt: float) -> tuple[np.ndarray, list]:
@@ -360,7 +359,7 @@ def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
     if cfg.redistribution > 0:
         topo = mesh._topo
         idx1, mask1 = topo["ring1_idx"], topo["ring1_mask"]
-        cent = (mesh.vertices[idx1] * mask1[:, :, None]).sum(axis=1) \
+        cent = (mesh.vertices.take(idx1, axis=0) * mask1[:, :, None]).sum(axis=1) \
             / mask1.sum(axis=1)[:, None]
         g = cent - mesh.vertices
         shift = cfg.redistribution * (g - _normal_part(nor, g))
@@ -371,7 +370,8 @@ def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
         # NaN passes both rejection tests below
         if not np.isfinite(cand).all():
             raise NonFiniteStep(f"non-finite candidate vertex at dt = {dt:.3e}")
-        if _triangle_inverted(mesh.vertices[mesh.triangles], cand[mesh.triangles]):
+        if _triangle_inverted(mesh.vertices.take(mesh.triangles, axis=0),
+                              cand.take(mesh.triangles, axis=0)):
             rejections.append("inversion")
             dt *= 0.5
             continue
@@ -428,6 +428,8 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig) -> FlowResult:
     max_h_gap = 0.0
     for step in range(1, cfg.max_steps + 1):
         mesh, dt = step_mcf(mesh, cfg)
+        # the run has stepped past the last snapshot: nothing reads its triangle cache again
+        snapshots[-1].mesh._tri = None
         t += dt
         # np.maximum, not max: a NaN gap is kept, not dropped
         max_h_gap = float(np.maximum(max_h_gap, mesh.step_info.h_gap))

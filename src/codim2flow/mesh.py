@@ -117,7 +117,7 @@ class SurfaceMesh:
         with_vertices returns a new mesh.
         """
         if self._tri is None:
-            p = self.vertices[self.triangles]
+            p = self.vertices.take(self.triangles, axis=0)
             e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]      # edge opposite corner i
             sq = np.einsum("mci,mci->mc", e, e)
             # law of cosines: the dot product of the two edges at corner i
@@ -196,10 +196,23 @@ def _build_topology(n_vertices: int, triangles: np.ndarray) -> dict:
     ring1_sorted = [sorted(r) for r in ring1]
     idx1, mask1 = pad(ring1_sorted)
     idx2, mask2 = pad(ring2)
+    # the cotan stiffness as an ordered gather: column v lists v's edge
+    # terms in the order a scatter over the corner-opposite edge ends (all
+    # j ends, then all k ends) adds them, padded with v itself and weight 0
+    j, k = triangles[:, [1, 2, 0]].ravel(), triangles[:, [2, 0, 1]].ravel()
+    ends = np.concatenate([j, k])
+    order = np.argsort(ends, kind="stable")
+    counts = np.bincount(ends, minlength=n_vertices)
+    slot = np.arange(6 * m) - np.repeat(np.cumsum(counts) - counts, counts)
+    stiff_nbr = np.tile(np.arange(n_vertices), (int(counts.max()), 1))
+    stiff_nbr[slot, ends[order]] = np.concatenate([k, j])[order]
+    stiff_term = np.full(stiff_nbr.shape, 6 * m, dtype=np.int32)
+    stiff_term[slot, ends[order]] = order
     return {
         "n_edges": n_edges,
         "ring1_idx": idx1, "ring1_mask": mask1,
         "ring2_idx": idx2, "ring2_mask": mask2,
+        "stiff_nbr": stiff_nbr, "stiff_term": stiff_term,
     }
 
 
@@ -220,41 +233,37 @@ def mixed_voronoi_areas(mesh: SurfaceMesh) -> np.ndarray:
     return np.bincount(mesh.triangles.ravel(), contrib.ravel(), minlength=mesh.n_vertices)
 
 
-def _opposite_edges(mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, 3) ends j, k of the edge opposite each triangle corner."""
-    return mesh.triangles[:, [1, 2, 0]], mesh.triangles[:, [2, 0, 1]]
-
-
-def stiffness_product(mesh: SurfaceMesh, x: np.ndarray) -> np.ndarray:
-    """A x for the cotan stiffness matrix A and (n, p) vertex values x.
+def stiffness_operator(mesh: SurfaceMesh):
+    """The cotan stiffness matrix A of mesh as (product, diagonal).
 
     (A x)_j = (1/2) sum over the edges (j, k) of (cot alpha + cot beta)(x_j - x_k),
     the angles opposite the edge.  A is symmetric and positive semidefinite,
-    and Delta_g F = -A F / (mixed area).  Reads the triangle cache, so
-    triangle_areas must have run on the mesh.
+    and Delta_g F = -A F / (mixed area).  product(x) returns A x for (n, p)
+    vertex values x.  It gathers each vertex's terms from the topology's
+    stiffness tables and sums them over the leading axis, which adds them
+    one row after another in the tables' order: the order of a scatter over
+    the corner-opposite edges, so A x rounds as that scatter does.
     """
-    j, k = _opposite_edges(mesh)
-    # corner i's cotangent weights the opposite edge (j, k)
-    d = (x[k] - x[j]) * mesh._tri[2][:, :, None]
-    # edge (j, k) adds d at j and -d at k: one scatter per column
-    ends = np.concatenate([j.ravel(), k.ravel()])
-    acc = np.stack([np.bincount(ends, np.concatenate([d[..., i].ravel(), -d[..., i].ravel()]),
-                                minlength=mesh.n_vertices) for i in range(x.shape[1])], axis=1)
-    return -0.5 * acc
-
-
-def stiffness_diagonal(mesh: SurfaceMesh) -> np.ndarray:
-    """(n,) diagonal of the cotan stiffness matrix; reads the triangle cache."""
-    j, k = _opposite_edges(mesh)
+    mesh.triangle_areas()
     cots = mesh._tri[2].ravel()
-    return 0.5 * np.bincount(np.concatenate([j.ravel(), k.ravel()]), np.concatenate([cots, cots]),
-                             minlength=mesh.n_vertices)
+    nbr = mesh._topo["stiff_nbr"]
+    # corner i's cotangent weights the opposite edge at both its ends
+    w = np.concatenate([cots, cots, [0.0]]).take(mesh._topo["stiff_term"])
+
+    def product(x):
+        t = x.take(nbr, axis=0)
+        t -= x
+        t *= w[:, :, None]
+        return -0.5 * t.sum(axis=0)
+
+    return product, 0.5 * w.sum(axis=0)
 
 
 def _cotan_mean_curvature(mesh: SurfaceMesh) -> np.ndarray:
     """Delta_g F per vertex, over the mixed areas: the discrete mean curvature vector in R^4."""
     # -(-acc / 2) / area rounds exactly as acc / (2 area): both scalings are by powers of two
-    return -stiffness_product(mesh, mesh.vertices) / np.maximum(mesh.vertex_area, 1e-300)[:, None]
+    product, _ = stiffness_operator(mesh)
+    return -product(mesh.vertices) / np.maximum(mesh.vertex_area, 1e-300)[:, None]
 
 
 def _gram_schmidt_pair(vecs: np.ndarray) -> np.ndarray:
@@ -379,7 +388,7 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     topo = mesh._topo
     idx2, mask2 = topo["ring2_idx"], topo["ring2_mask"]
 
-    d = v[idx2] - v[:, None, :]                      # (n, K, 4)
+    d = v.take(idx2, axis=0) - v[:, None, :]         # (n, K, 4)
     r2 = np.einsum("nki,nki->nk", d, d)
     # weight scale from the 2-ring spread; keeps the whole stencil active
     # even when the flow compresses neighborhoods anisotropically
@@ -474,7 +483,7 @@ def _ring1_gradients(mesh: SurfaceMesh, diffs: np.ndarray) -> np.ndarray:
     """
     topo = mesh._topo
     idx1, mask1 = topo["ring1_idx"], topo["ring1_mask"]
-    d = mesh.vertices[idx1] - mesh.vertices[:, None, :]
+    d = mesh.vertices.take(idx1, axis=0) - mesh.vertices[:, None, :]
     x = np.einsum("nki,nia->nka", d, mesh.tangent)
     w = mask1.astype(float)
     g2 = np.einsum("nk,nka,nkb->nab", w, x, x) + 1e-300 * np.eye(2)
@@ -493,7 +502,7 @@ def vertex_gradients(mesh: SurfaceMesh, values: np.ndarray) -> np.ndarray:
     squeeze = values.ndim == 1
     vals = values[:, None] if squeeze else values
     idx1 = mesh._topo["ring1_idx"]
-    grad = _ring1_gradients(mesh, vals[idx1] - vals[:, None, :])
+    grad = _ring1_gradients(mesh, vals.take(idx1, axis=0) - vals[:, None, :])
     return grad[:, :, 0] if squeeze else grad
 
 
@@ -509,13 +518,13 @@ def shape_gradient_norm2(mesh: SurfaceMesh) -> np.ndarray:
     idx1 = mesh._topo["ring1_idx"]
 
     t_v = mesh.tangent[:, None, :, :]           # (n, 1, 4, 2)
-    t_u = mesh.tangent[idx1]                    # (n, k, 4, 2)
+    t_u = mesh.tangent.take(idx1, axis=0)       # (n, k, 4, 2)
     n_v = mesh.normal[:, None, :, :]
-    n_u = mesh.normal[idx1]
+    n_u = mesh.normal.take(idx1, axis=0)
     mt = _polar_orthogonalize(np.einsum("nkia,nkib->nkab", np.broadcast_to(t_v, t_u.shape), t_u))
     mn = _polar_orthogonalize(np.einsum("nkia,nkib->nkab", np.broadcast_to(n_v, n_u.shape), n_u))
 
-    q_u = mesh.shape[idx1]                      # (n, k, 2, 2, 2)
+    q_u = mesh.shape.take(idx1, axis=0)         # (n, k, 2, 2, 2)
     q_t = np.einsum("nkip,nkjq,nkab,nkpqb->nkija", mt, mt, mn, q_u)
     dq = q_t - mesh.shape[:, None, :, :, :]
 

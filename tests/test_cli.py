@@ -1,3 +1,4 @@
+import csv
 import json
 from concurrent.futures import Future
 
@@ -197,9 +198,27 @@ def test_run_scenario_artifacts(tmp_path):
     assert 0 < summary["max_h_gap"] < 0.2
     assert json.loads((out / "run.json").read_text())["max_h_gap"] == summary["max_h_gap"]
     assert (out / "rescale_summary.json").exists()
+    with open(out / "trace.csv") as fh:
+        trace = list(csv.DictReader(fh))
     for col in TRACE_COLUMNS:
         if col != "t":
-            assert (out / "plot" / f"{col}.dat").exists()
+            # gnuplot-ready: two plain floats per line, the trace's t and column
+            lines = (out / "plot" / f"{col}.dat").read_text().splitlines()
+            np.testing.assert_array_equal([[float(v) for v in ln.split(" ")] for ln in lines],
+                                          [[float(r["t"]), float(r[col])] for r in trace])
+
+
+def test_run_json_records_the_resolved_config(tmp_path):
+    # the sphere_r1 preset sets neither cfl nor epsilon_z; two steps suffice
+    path = tmp_path / "sphere_r1.json"
+    path.write_text(json.dumps({**cli.SCENARIO_PRESETS["sphere_r1"], "max_steps": 2}))
+    run_scenario(str(path), str(tmp_path / "out"), seed=0)
+    summary = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert "cfl" not in summary["scenario"]
+    config = summary["config"]
+    assert config["cfl"] == 0.01
+    assert config["epsilon_z"] == flow_config(load_scenario("sphere_r1")).resolved_epsilon_z()
+    assert config["gamma"] == pytest.approx(1 / 30)
 
 
 def test_run_scenario_deterministic(tmp_path):

@@ -33,7 +33,7 @@ from codim2flow.flow import (
     step_mcf,
     type_i_rescale,
 )
-from codim2flow.mesh import recover_geometry, stiffness_product
+from codim2flow.mesh import recover_geometry, stiffness_operator
 
 
 def small_cfg(**kw):
@@ -181,8 +181,9 @@ def test_cg_residual_within_tolerance(preset):
     # the step size the preset would take
     dt = flow_config(sc).cfl / float(np.max(m.norm_a2()))
     d, iters = _cn_solve(m, m.vertex_area, dt, m.vertices)
-    b = -dt * stiffness_product(m, m.vertices)
-    res = b - (m.vertex_area[:, None] * d + 0.5 * dt * stiffness_product(m, d))
+    product, _ = stiffness_operator(m)
+    b = -dt * product(m.vertices)
+    res = b - (m.vertex_area[:, None] * d + 0.5 * dt * product(d))
     assert np.all(np.linalg.norm(res, axis=0) <= CG_RTOL * np.linalg.norm(b, axis=0))
     assert 0 < iters < CG_MAX_ITER
 
@@ -439,6 +440,14 @@ def test_pinching_preserved_on_pinched_run(pinched_run):
     max_q = pinched_run.trace.column("maxQ")
     assert max_q[0] < 0
     assert np.all(max_q < 0.05 * abs(max_q[0]))
+
+
+def test_snapshots_past_drop_their_triangle_caches(sphere_run):
+    snaps = sphere_run.snapshots
+    assert sphere_run.status == "blowup_threshold" and len(snaps) > 2
+    # the run ended on its last snapshot, the only mesh it still steps from
+    assert all(s.mesh._tri is None for s in snaps[:-1])
+    assert snaps[-1].mesh._tri is not None
 
 
 def test_type_i_rescale_on_shrinking_sphere(sphere_run):

@@ -12,8 +12,7 @@ from codim2flow.mesh import (
     read_off4,
     recover_geometry,
     shape_gradient_norm2,
-    stiffness_diagonal,
-    stiffness_product,
+    stiffness_operator,
     vertex_gradients,
     write_off4,
 )
@@ -192,11 +191,43 @@ def test_cotan_scatter_matches_add_at_reference(torus48):
 
 def test_stiffness_matrix_symmetric_psd_with_its_diagonal():
     m = recover_geometry(icosphere(1.0, 1))
-    a = stiffness_product(m, np.eye(m.n_vertices))   # column i is A e_i
+    product, diagonal = stiffness_operator(m)
+    a = product(np.eye(m.n_vertices))   # column i is A e_i
     assert np.allclose(a, a.T, atol=1e-13)
     assert np.allclose(a.sum(axis=1), 0.0, atol=1e-13)   # constants are in the kernel
     assert np.linalg.eigvalsh(a).min() > -1e-12
-    assert np.array_equal(np.diag(a), stiffness_diagonal(m))
+    assert np.array_equal(np.diag(a), diagonal)
+
+
+# icosphere(1, 2) mixes valence 5 and 6, so its tables carry padding
+@pytest.mark.parametrize("build", [lambda: icosphere(1.0, 2),
+                                   lambda: ellipsoid_plus_bump(1.2, 1.0, 0.9, 0.05, subdivisions=3)],
+                         ids=["icosphere", "pinched"])
+def test_stiffness_gather_matches_add_at_reference(build, rng):
+    m = build()
+    product, diagonal = stiffness_operator(m)
+    # the scatter: corner i's cotangent weights the opposite edge (j, k)
+    j, k, cots = m.triangles[:, [1, 2, 0]], m.triangles[:, [2, 0, 1]], m._tri[2]
+    for p in (1, 3, 4):
+        x = rng.standard_normal((m.n_vertices, p))
+        d = (x[k] - x[j]) * cots[:, :, None]
+        acc = np.zeros_like(x)
+        np.add.at(acc, j, d)
+        np.add.at(acc, k, -d)
+        assert np.array_equal(product(x), -0.5 * acc)
+    ends = np.concatenate([j.ravel(), k.ravel()])
+    ref = 0.5 * np.bincount(ends, np.concatenate([cots.ravel(), cots.ravel()]),
+                            minlength=m.n_vertices)
+    assert np.array_equal(diagonal, ref)
+
+
+def test_stiffness_tables_shared_by_with_vertices():
+    m = icosphere(1.0, 2)
+    valence = m._topo["ring1_mask"].sum(axis=1)
+    assert m._topo["stiff_nbr"].shape == (2 * valence.max(), m.n_vertices)
+    m2 = m.with_vertices(2.0 * m.vertices)
+    for key in ("stiff_nbr", "stiff_term"):
+        assert m2._topo[key] is m._topo[key]
 
 
 def test_simons_identity_on_recovered_tensors(sphere4, rng):
