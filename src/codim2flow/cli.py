@@ -122,11 +122,7 @@ def build_surface(sc: dict):
 
 
 def flow_config(sc: dict) -> FlowConfig:
-    kwargs = {k: sc[k] for k in _FLOW_KEYS if k in sc and sc[k] is not None}
-    for k in ("max_steps", "output_every", "poincare_every"):
-        if k in kwargs:
-            kwargs[k] = int(kwargs[k])
-    return FlowConfig(**kwargs)
+    return FlowConfig(**{k: sc[k] for k in _FLOW_KEYS if k in sc and sc[k] is not None})
 
 
 def _write_vertex_csv(path, header, cols) -> None:
@@ -217,7 +213,8 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
         "final_t": trace.rows[-1].t,
         "r0": result.r0,
         "stop_a2": result.stop_a2,
-        "hypothesis_violated": bool(trace.rows[0].maxQ >= 0),
+        # a NaN maxQ leaves the hypothesis unchecked, so the run does not claim it
+        "hypothesis_violated": not trace.rows[0].maxQ < 0,
         "decay_fit": decay,
         "rejections": result.rejections,
         "max_h_gap": result.max_h_gap,
@@ -377,6 +374,9 @@ def main(argv=None) -> int:
     except (ValueError, json.JSONDecodeError, InvalidK, ResolutionTooCoarse, BracketInvalid) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"assertion failure: {exc}", file=sys.stderr)
+        return 1
     except Codim2FlowError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMeanCurvature, UmbilicPoint
-
 TOL_H = 1e-12
 TOL_FRAME_REL = 1e-9
 
@@ -42,9 +40,6 @@ class SpecialFrameState:
     def __post_init__(self):
         if self.h < 0:
             raise ValueError(f"h must be nonnegative, got {self.h}")
-
-    def scaled(self, lam: float) -> "SpecialFrameState":
-        return SpecialFrameState(self.h * lam, self.a * lam, self.b * lam, self.c * lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,19 +140,6 @@ def lift(s: SpecialFrameState) -> ShapeTensor:
     """Embed a special-frame state as an explicit ShapeTensor."""
     comp, _ = lift_batch(*(np.array([x], dtype=float) for x in (s.h, s.a, s.b, s.c)))
     return ShapeTensor(comp[0])
-
-
-def to_special_frame(t: ShapeTensor, tol_h: float = TOL_H) -> SpecialFrameState:
-    """Reduce a general-frame shape tensor to the special orthonormal frame.
-
-    special_frame_fields on a batch of one; see there for the conventions.
-    Raises DegenerateMeanCurvature when |H| <= tol_h: the two normal
-    directions only split canonically when the mean curvature is nonzero.
-    """
-    h, a, b, c = special_frame_fields(t.components[None], t.mean_curvature[None], tol_h)
-    if not h[0] > tol_h:
-        raise DegenerateMeanCurvature(f"|H| = {h[0]:.3e} <= {tol_h:.3e}")
-    return SpecialFrameState(float(h[0]), float(a[0]), float(b[0]), float(c[0]))
 
 
 def special_frame_fields(comp: np.ndarray, mean_curv: np.ndarray, tol_h: float = TOL_H):
@@ -314,54 +296,3 @@ def simons_z_tensor(t: ShapeTensor) -> float:
 def simons_z_closed(s: SpecialFrameState) -> float:
     """Closed form of the Simons nonlinearity: 2 K |A-circ|^2 - 2 (K-perp)^2."""
     return float(field_scalars(s.h, s.a, s.b, s.c)["simons_z"])
-
-
-def pinch_q(s: SpecialFrameState, k: float, gamma: float, eps: float = 0.0) -> float:
-    """Pinching quantity Q = |A|^2 + 2 gamma |K-perp| - k |H|^2 + eps.
-
-    Q < 0 is the curvature condition whose preservation the flow monitors.
-    """
-    return float(pinching_fields(s.h, s.a, s.b, s.c, gamma, k=k, eps=eps)["q"])
-
-
-def f_sigma(s: SpecialFrameState, sigma: float, gamma: float, tol_h: float = TOL_H) -> float:
-    """Scale-weighted pinching ratio (|A-circ|^2 + 2 gamma |K-perp|) / |H|^(2(1-sigma))."""
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    if s.h <= tol_h:
-        raise DegenerateMeanCurvature(f"|H| = {s.h:.3e} <= {tol_h:.3e}")
-    return float(pinching_fields(s.h, s.a, s.b, s.c, gamma, sigma=sigma, tol_h=tol_h)["fsigma"])
-
-
-def z_lower_bound_ratio(s: SpecialFrameState, gamma: float, tol_h: float = TOL_H) -> float:
-    """Pointwise ratio Z / ((|A-circ|^2 + 2 gamma |K-perp|) |H|^2).
-
-    Positive lower bounds of this ratio over a pinched region certify the
-    Simons-nonlinearity floor used by the integral estimates.
-    """
-    if s.h <= tol_h:
-        raise DegenerateMeanCurvature(f"|H| = {s.h:.3e} <= {tol_h:.3e}")
-    pf = pinching_fields(s.h, s.a, s.b, s.c, gamma)
-    denom = float(pf["pinch_num"]) * s.h * s.h
-    if denom <= TOL_FRAME_REL * (float(pf["norm_a2"]) + s.h * s.h) ** 2:
-        raise UmbilicPoint("pinching numerator vanishes; ratio undefined")
-    return float(pf["simons_z"]) / denom
-
-
-def frame_dump(s: SpecialFrameState) -> dict:
-    """Debug dump: frame components plus all scalars, JSON-serializable."""
-    sc = scalars(s)
-    return {
-        "h": s.h,
-        "a": s.a,
-        "b": s.b,
-        "c": s.c,
-        "normA2": sc.norm_a2,
-        "normAcirc2": sc.norm_acirc2,
-        "gaussK": sc.gauss_k,
-        "normalKperp": sc.normal_kperp,
-        "normRmPerp2": sc.norm_rm_perp2,
-        "R1": sc.r1,
-        "R2": sc.r2,
-        "R3": sc.r3,
-    }

@@ -5,14 +5,6 @@ class Codim2FlowError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DegenerateMeanCurvature(Codim2FlowError):
-    """|H| is below tolerance; the special normal frame is undefined."""
-
-
-class UmbilicPoint(Codim2FlowError):
-    """Traceless curvature vanishes; a pinching ratio is undefined."""
-
-
 class InvalidK(Codim2FlowError):
     """Pinching constant outside the admissible range (1/2, 1]."""
 

@@ -79,7 +79,11 @@ class FlowConfig:
                 continue
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ValueError(f"{f.name} must be a number, got {v!r}")
+            # JSON reads NaN and Infinity as floats; either would disable a stop rule
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
         for name, low in (("max_steps", 0), ("output_every", 1), ("poincare_every", 1)):
+            setattr(self, name, int(getattr(self, name)))
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not self.stop_factor > 0:
@@ -97,7 +101,7 @@ class FlowConfig:
         if self.epsilon_z is None:
             self.epsilon_z = epsilon_z_scan(self.gamma, self.pinch_fraction,
                                             grid=100, random_samples=50_000, seed=0)
-        if self.epsilon_z <= 0:
+        if not self.epsilon_z > 0:
             raise EpsilonZNotPositive(f"epsilon_z = {self.epsilon_z}")
         return self.epsilon_z
 

@@ -71,7 +71,10 @@ def gradient_norms(u, v):
 
 
 def trace_part(x):
-    """Trace part E of one normal slot of DA, for components of shape (..., 4)."""
+    """Trace part E of one normal slot of DA, for components of shape (..., 4).
+
+    E_ijk = (1/4)(g_ij D_k H + g_ik D_j H + g_jk D_i H), orthogonal to DA - E.
+    """
     w1, w2 = x[..., 0] + x[..., 2], x[..., 1] + x[..., 3]
     return np.stack([0.75 * w1, 0.25 * w2, 0.25 * w1, 0.75 * w2], axis=-1)
 
@@ -122,38 +125,6 @@ def grad_kperp_bound_fields(h, a, b, c, u, v):
     return lhs, 4 * acirc * np.sqrt(gradient_norms(u, v)[0])
 
 
-def norm_grad_a2(g: GradientState) -> float:
-    """|DA|^2 with symmetric-pattern multiplicities (1, 3, 3, 1)."""
-    return float(gradient_norms(g.u, g.v)[0])
-
-
-def norm_grad_h2(g: GradientState) -> float:
-    """|DH|^2 from the Codazzi-tensor traces D_i H_alpha = sum_k D_i h_{kk,alpha}."""
-    return float(gradient_norms(g.u, g.v)[1])
-
-
-def decompose_ef(g: GradientState) -> tuple[GradientState, GradientState]:
-    """Split DA into its trace part E and trace-free part F.
-
-    E_{ijk} = (1/4)(g_ij D_k H + g_ik D_j H + g_jk D_i H) for surfaces; the
-    split is orthogonal with |E|^2 = (3/4)|DH|^2, which is also the content
-    of the first gradient inequality.
-    """
-    e = GradientState(trace_part(g.u), trace_part(g.v))
-    f = GradientState(g.u - e.u, g.v - e.v)
-    return e, f
-
-
-def nabla_evol_kperp(g: GradientState) -> float:
-    """Gradient cross term in the evolution of the normal curvature (see kperp_cross)."""
-    return float(kperp_cross(g.u, g.v))
-
-
-def nabla_evol_kperp_raw(g: GradientState) -> float:
-    """Same cross term from the literal double sum; oracle for the closed form."""
-    return float(kperp_cross_raw(g.u, g.v))
-
-
 def check_gradient_inequalities(g: GradientState) -> GradientSlacks:
     """Slack (LHS - RHS) of the three gradient estimates; all should be >= 0."""
     return gradient_slacks(g.u, g.v)[1]
@@ -174,12 +145,6 @@ def grad_kperp(s: SpecialFrameState, g: GradientState) -> np.ndarray:
             tot -= g.component(q, 1, p, 0) * comp[0, p, 1] + comp[1, p, 0] * g.component(q, 0, p, 1)
         out[q] = tot
     return out
-
-
-def grad_kperp_bound(s: SpecialFrameState, g: GradientState) -> tuple[float, float]:
-    """Returns (|grad K-perp|, 4 |A-circ| |DA|); the first never exceeds the second."""
-    lhs, rhs = grad_kperp_bound_fields(s.h, s.a, s.b, s.c, g.u, g.v)
-    return float(lhs), float(rhs)
 
 
 def sweep_inequalities(samples: np.ndarray) -> dict:
@@ -203,23 +168,3 @@ def sweep_inequalities(samples: np.ndarray) -> dict:
         i = int(np.argmin(sl))
         out[name] = {"slack_min": float(sl[i]), "witness": samples[i].tolist()}
     return out
-
-
-def exact_min_slack_kperp_evol() -> float:
-    """Exact minimum slack of the third inequality on the unit sphere.
-
-    Solves the symmetric 8x8 eigenvalue problem for the cross-term quadratic
-    form in the weighted metric.
-    """
-    w = np.concatenate([_WEIGHTS, _WEIGHTS])
-    # cross term as a symmetric bilinear form on (u, v)
-    m = np.zeros((8, 8))
-    pairs = [((0, 5), 1.0), ((1, 4), -1.0), ((1, 6), 2.0), ((2, 5), -2.0),
-             ((2, 7), 1.0), ((3, 6), -1.0)]
-    for (i, j), coef in pairs:
-        m[i, j] += coef / 2
-        m[j, i] += coef / 2
-    d = 1.0 / np.sqrt(w)
-    mw = d[:, None] * m * d[None, :]
-    lam_max = float(np.linalg.eigvalsh(mw)[-1])
-    return 1.0 - 2.0 * lam_max

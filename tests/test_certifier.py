@@ -11,12 +11,11 @@ from codim2flow.certifier import (
     certify_negativity,
     epsilon_z_scan,
     gamma_for_k,
-    reaction_at_zero_q,
     reaction_expression,
     threshold_scan,
     unreduced_reaction,
 )
-from codim2flow.curvature import SpecialFrameState, scalars
+from codim2flow.curvature import SpecialFrameState, pinching_fields, scalars
 from codim2flow.errors import BracketInvalid, InvalidK, ResolutionTooCoarse
 
 abc = st.floats(min_value=-3, max_value=3, allow_nan=False)
@@ -29,15 +28,14 @@ epsst = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 
 
 def test_flat_point_is_zero():
-    s = ConeSample(0, 0, 0, eps=0.0, k=0.7, gamma=gamma_for_k(0.7))
-    assert reaction_at_zero_q(s) == 0.0
+    assert reaction_expression(0.0, 0.0, 0.0, 0.0, 0.7, gamma_for_k(0.7)) == 0.0
 
 
 @settings(max_examples=100, deadline=None)
 @given(kst, epsst)
 def test_flat_point_eps_term(k, eps):
-    s = ConeSample(0, 0, 0, eps=eps, k=k, gamma=gamma_for_k(k))
-    assert reaction_at_zero_q(s) == pytest.approx(-eps * eps / (k - 0.5), rel=1e-12, abs=1e-15)
+    val = reaction_expression(0.0, 0.0, 0.0, eps, k, gamma_for_k(k))
+    assert val == pytest.approx(-eps * eps / (k - 0.5), rel=1e-12, abs=1e-15)
 
 
 def test_invalid_k_raises():
@@ -69,7 +67,7 @@ def test_known_positive_witness_exact_value():
     assert g == F(1, 30)
     val = reaction_expression(F(1), F(0), F(1, 2), F(0), k, g)
     assert val == F(263, 405)
-    assert reaction_at_zero_q(ConeSample(1.0, 0.0, 0.5, 0.0, 29 / 40, 1 / 30)) == pytest.approx(
+    assert reaction_expression(1.0, 0.0, 0.5, 0.0, 29 / 40, 1 / 30) == pytest.approx(
         float(F(263, 405)), rel=1e-13)
 
 
@@ -92,7 +90,6 @@ def test_oracle_consistent_with_curvature_module(rng):
         k = rng.uniform(0.55, 1.0)
         g = gamma_for_k(k)
         eps = rng.uniform(0, 1)
-        s = ConeSample(a, b, c, eps, k, g)
         # |H|^2 forced by Q = 0
         h2 = (2 * a * a + 2 * b * b + 2 * c * c + 2 * g * abs(2 * a * c) + eps) / (k - 0.5)
         assert h2 >= 0
@@ -100,7 +97,8 @@ def test_oracle_consistent_with_curvature_module(rng):
         sc = scalars(st_frame)
         expected = 2 * sc.r1 + 2 * g * sc.r3 - 2 * k * sc.r2
         scale = (1 + 1 / (k - 0.5)) ** 2 * (a * a + b * b + c * c + eps) ** 2
-        assert reaction_at_zero_q(s) == pytest.approx(expected, rel=1e-10, abs=1e-10 * (1 + scale))
+        assert reaction_expression(a, b, c, eps, k, g) == pytest.approx(
+            expected, rel=1e-10, abs=1e-10 * (1 + scale))
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,11 +213,9 @@ def test_epsilon_z_scan_monotone_to_zero_at_boundary():
 
 def test_epsilon_z_scan_umbilic_free_slice_closed_form():
     # b = c = 0 states: Z = 2 K |Ac|^2, ratio = 2K/|H|^2 = (1 - 2x)/2
-    for x in (0.05, 0.15, 0.25):
-        a = math.sqrt(x / 2)
-        s = SpecialFrameState(1.0, a, 0.0, 0.0)
-        from codim2flow.curvature import z_lower_bound_ratio
-        assert z_lower_bound_ratio(s, gamma=1 / 30) == pytest.approx((1 - 2 * x) / 2, rel=1e-12)
+    x = np.array([0.05, 0.15, 0.25])
+    pf = pinching_fields(1.0, np.sqrt(x / 2), 0.0, 0.0, gamma=1 / 30)
+    assert pf["simons_z"] / pf["pinch_num"] == pytest.approx((1 - 2 * x) / 2, rel=1e-12)
 
 
 def test_epsilon_z_scan_validates_fraction():

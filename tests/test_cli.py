@@ -99,6 +99,23 @@ def test_cmd_certify_bad_k_is_usage_error():
     assert main(["certify", "--k", "0.7", "--grid", "8", "--samples", "1000"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--gamma-override", "--delta"])
+def test_cmd_certify_nonfinite_delta_or_gamma_is_config_error(flag, capsys):
+    for bad in ("nan", "inf"):
+        assert main(["certify", "--k", "0.7", flag, bad, "--grid", "64", "--samples", "1000"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_cmd_certify_failed_oracle_check_exits_1(capsys):
+    # gamma^2 overflows: the reduced and unreduced routes give NaN, which fails the check
+    rc = main(["certify", "--k", "0.7", "--gamma-override", "1e200", "--grid", "64",
+               "--samples", "1000"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("assertion failure: reduced/unreduced reaction mismatch")
+    assert len(err.splitlines()) == 1
+
+
 def test_cmd_scan(tmp_path):
     rc = main(["--out", str(tmp_path), "scan", "--k-low", "0.66", "--k-high", "0.75",
                "--tol", "5e-3", "--grid", "64", "--samples", "20000"])
@@ -221,6 +238,21 @@ def test_run_json_records_the_resolved_config(tmp_path):
     assert config["gamma"] == pytest.approx(1 / 30)
 
 
+def test_nan_max_q_counts_as_hypothesis_violated(tmp_path, monkeypatch):
+    # a NaN frame entry makes maxQ NaN; the run must not claim pinched data
+    import codim2flow.flow as flowmod
+    recover = flowmod.recover_geometry
+
+    def recover_with_nan(mesh):
+        recover(mesh)
+        mesh.frame_a[0] = np.nan
+        return mesh
+
+    monkeypatch.setattr(flowmod, "recover_geometry", recover_with_nan)
+    summary = run_scenario(str(tiny_scenario(tmp_path, max_steps=3)), str(tmp_path / "out"))
+    assert summary["hypothesis_violated"] is True
+
+
 def test_run_scenario_deterministic(tmp_path):
     cfg = tiny_scenario(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -320,7 +352,13 @@ def test_bad_off4_topology_is_config_error(tmp_path, verts, faces):
 @pytest.mark.parametrize("bad", [{"output_every": 0}, {"poincare_every": 0},
                                  {"max_steps": -1}, {"cfl": '"abc"'},
                                  {"p": 1}, {"eta": -1}, {"sigma": 1.5},
-                                 {"scheme": "bogus"}])
+                                 {"scheme": "bogus"},
+                                 # NaN would switch off a stop rule or the epsilon_z guard
+                                 {"stop_a2": "NaN", "max_steps": 3},
+                                 {"min_angle_deg": "NaN", "max_steps": 3},
+                                 {"epsilon_z": "NaN", "max_steps": 3},
+                                 {"k": "NaN", "max_steps": 3},
+                                 {"max_steps": "Infinity"}])
 def test_bad_flow_config_values_are_config_errors(tmp_path, bad):
     cfg = tiny_scenario(tmp_path, **bad)
     assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 2

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,21 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codim2flow.curvature import (
+    TOL_H,
     ShapeTensor,
     SpecialFrameState,
-    f_sigma,
-    frame_dump,
     lift,
-    pinch_q,
+    pinching_fields,
     scalars,
     simons_z_closed,
     simons_z_tensor,
     special_frame_fields,
     tensor_scalars,
-    to_special_frame,
-    z_lower_bound_ratio,
 )
-from codim2flow.errors import DegenerateMeanCurvature, UmbilicPoint
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 pos_h = st.floats(min_value=1e-3, max_value=10, allow_nan=False)
@@ -38,6 +33,23 @@ def random_shape_tensor(rng, min_h=1e-2):
         t = ShapeTensor(comp)
         if math.hypot(*t.mean_curvature) > min_h:
             return t
+
+
+def special_frames(tensors):
+    """special_frame_fields on a batch of ShapeTensors, as one SpecialFrameState each."""
+    comp = np.stack([t.components for t in tensors])
+    mc = np.stack([t.mean_curvature for t in tensors])
+    return [SpecialFrameState(*map(float, row)) for row in zip(*special_frame_fields(comp, mc))]
+
+
+def scaled(s, lam):
+    return SpecialFrameState(lam * s.h, lam * s.a, lam * s.b, lam * s.c)
+
+
+def z_ratio(h, a, b, c, gamma):
+    """Simons ratio Z / ((|A-circ|^2 + 2 gamma |K-perp|) |H|^2) from pinching_fields."""
+    pf = pinching_fields(h, a, b, c, gamma)
+    return pf["simons_z"] / (pf["pinch_num"] * h * h)
 
 
 def rot2(theta):
@@ -67,7 +79,7 @@ def test_shape_tensor_validates_trace_consistency():
 def test_round_sphere_point_reduces_trivially():
     comp = np.zeros((2, 2, 2))
     comp[:, :, 0] = np.eye(2)
-    s = to_special_frame(ShapeTensor(comp))
+    (s,) = special_frames([ShapeTensor(comp)])
     assert (s.h, s.a, s.b, s.c) == (2.0, 0.0, 0.0, 0.0)
 
 
@@ -75,30 +87,34 @@ def test_already_special_frame_passthrough():
     comp = np.zeros((2, 2, 2))
     comp[:, :, 0] = np.diag([3.0, 1.0])
     comp[:, :, 1] = np.array([[0.0, 1.0], [1.0, 0.0]])
-    s = to_special_frame(ShapeTensor(comp))
+    (s,) = special_frames([ShapeTensor(comp)])
     assert s.h == pytest.approx(4.0, abs=1e-14)
     assert s.a == pytest.approx(1.0, abs=1e-14)
     assert s.b == pytest.approx(0.0, abs=1e-14)
     assert s.c == pytest.approx(1.0, abs=1e-14)
 
 
-def test_degenerate_mean_curvature_raises():
-    comp = np.zeros((2, 2, 2))
-    comp[:, :, 0] = np.diag([1.0, -1.0])
-    with pytest.raises(DegenerateMeanCurvature):
-        to_special_frame(ShapeTensor(comp))
+def test_degenerate_mean_curvature_gives_nan_frame():
+    # where |H| <= tol_h the normal frame is undefined: a, b, c are NaN and
+    # h stays finite, without touching the other rows of the batch
+    comp = np.zeros((3, 2, 2, 2))
+    comp[0, :, :, 0] = np.diag([1.0, -1.0])     # minimal point, H = 0
+    comp[1, :, :, 0] = np.eye(2)                # round sphere point
+    comp[2, :, :, 1] = 0.5 * TOL_H * np.eye(2)  # |H| = tol_h exactly
+    h, a, b, c = special_frame_fields(comp, comp[:, 0, 0] + comp[:, 1, 1])
+    assert h.tolist() == [0.0, 2.0, TOL_H]
+    for x in (a, b, c):
+        assert np.isnan(x[[0, 2]]).all() and x[1] == 0.0
 
 
 def test_sign_convention_and_umbilic_branch(rng):
-    for _ in range(200):
-        t = random_shape_tensor(rng)
-        s = to_special_frame(t)
+    for s in special_frames([random_shape_tensor(rng) for _ in range(200)]):
         assert s.a >= 0 and s.c >= 0
     # umbilic A1: c must be zeroed by the A2-diagonalizing convention
     comp = np.zeros((2, 2, 2))
     comp[:, :, 0] = 1.3 * np.eye(2)
     comp[:, :, 1] = np.array([[0.4, 0.7], [0.7, -0.4]])
-    s = to_special_frame(ShapeTensor(comp))
+    (s,) = special_frames([ShapeTensor(comp)])
     assert s.c == 0.0
     assert s.a >= 0.0
     assert abs(s.b) == pytest.approx(math.hypot(0.4, 0.7), rel=1e-12)
@@ -120,8 +136,7 @@ def test_frame_invariance(theta, phi, flip_tan, flip_nor, seed):
         r_tan = r_tan @ np.diag([1.0, -1.0])
     if flip_nor:
         r_nor = r_nor @ np.diag([1.0, -1.0])
-    sc0 = scalars(to_special_frame(t))
-    sc1 = scalars(to_special_frame(conjugate(t, r_tan, r_nor)))
+    sc0, sc1 = map(scalars, special_frames([t, conjugate(t, r_tan, r_nor)]))
     for f in ("norm_a2", "norm_acirc2", "gauss_k", "norm_rm_perp2", "r1", "r2"):
         x0, x1 = getattr(sc0, f), getattr(sc1, f)
         assert abs(x0 - x1) <= 1e-10 * (1 + abs(x0))
@@ -129,10 +144,10 @@ def test_frame_invariance(theta, phi, flip_tan, flip_nor, seed):
 
 
 def test_reduction_reproduces_invariant_scalars(rng):
-    for _ in range(300):
-        t = random_shape_tensor(rng)
+    tensors = [random_shape_tensor(rng) for _ in range(300)]
+    for t, s in zip(tensors, special_frames(tensors)):
         ts = tensor_scalars(t)
-        ss = scalars(to_special_frame(t))
+        ss = scalars(s)
         assert ss.norm_a2 == pytest.approx(ts.norm_a2, rel=1e-12)
         assert ss.norm_acirc2 == pytest.approx(ts.norm_acirc2, rel=1e-12, abs=1e-12)
         assert ss.gauss_k == pytest.approx(ts.gauss_k, rel=1e-12, abs=1e-12)
@@ -149,7 +164,7 @@ def test_batched_frame_fields_match_scalar_path(rng):
     mc = np.stack([t.mean_curvature for t in tensors])
     h, a, b, c = special_frame_fields(comp, mc)
     for i, t in enumerate(tensors):
-        s = to_special_frame(t)
+        (s,) = special_frames([t])  # a batch of one
         assert h[i] == pytest.approx(s.h, rel=1e-12)
         assert a[i] == pytest.approx(s.a, rel=1e-10, abs=1e-12)
         assert abs(b[i]) == pytest.approx(abs(s.b), rel=1e-10, abs=1e-12)
@@ -157,17 +172,15 @@ def test_batched_frame_fields_match_scalar_path(rng):
 
 
 def test_umbilic_representative_matches_batched_path(rng):
-    # umbilic A1 (a = 0) leaves the sign of b to convention; the scalar and
-    # batched reductions must pick the same representative, b >= 0
+    # umbilic A1 (a = 0) leaves the sign of b to convention; the reduction
+    # picks the representative c = 0, b >= 0 in any frame
     states = [(0.7375, 0.0, -0.4821, 0.5988)] + [
         (abs(rng.standard_normal()) + 0.1, 0.0, *rng.standard_normal(2)) for _ in range(50)]
-    for h, a, b, c in states:
-        t = conjugate(lift(SpecialFrameState(h, a, b, c)),
-                      rot2(rng.uniform(0, 2 * math.pi)), rot2(rng.uniform(0, 2 * math.pi)))
-        s = to_special_frame(t)
-        hb, ab, bb, cb = special_frame_fields(t.components[None], t.mean_curvature[None])
-        assert s.c == 0.0 and cb[0] == 0.0
-        assert s.b == pytest.approx(bb[0], rel=1e-12)
+    tensors = [conjugate(lift(SpecialFrameState(*state)),
+                         rot2(rng.uniform(0, 2 * math.pi)), rot2(rng.uniform(0, 2 * math.pi)))
+               for state in states]
+    for (h, a, b, c), s in zip(states, special_frames(tensors)):
+        assert s.c == 0.0
         assert s.b == pytest.approx(math.hypot(b, c), rel=1e-10)
 
 
@@ -234,11 +247,11 @@ def test_traceless_product_identity(s):
 @settings(max_examples=200, deadline=None)
 @given(frame_states(), st.floats(min_value=0.1, max_value=3))
 def test_homogeneity_degrees(s, lam):
-    sc, scl = scalars(s), scalars(s.scaled(lam))
+    sc, scl = scalars(s), scalars(scaled(s, lam))
     for f, deg in (("norm_a2", 2), ("gauss_k", 2), ("normal_kperp", 2),
                    ("r1", 4), ("r2", 4), ("r3", 4)):
         assert getattr(scl, f) == pytest.approx(lam ** deg * getattr(sc, f), rel=1e-10, abs=1e-12)
-    z0, zl = simons_z_closed(s), simons_z_closed(s.scaled(lam))
+    z0, zl = simons_z_closed(s), simons_z_closed(scaled(s, lam))
     assert zl == pytest.approx(lam ** 4 * z0, rel=1e-10, abs=1e-12)
 
 
@@ -281,7 +294,7 @@ def test_simons_equivalence_sweep(rng):
 
 
 def test_pinch_q_round_sphere():
-    q = pinch_q(SpecialFrameState(2, 0, 0, 0), k=29 / 40, gamma=1 / 30, eps=0.0)
+    q = pinching_fields(2.0, 0.0, 0.0, 0.0, gamma=1 / 30, k=29 / 40)["q"]
     assert q == pytest.approx(-0.9, rel=1e-13)
 
 
@@ -292,42 +305,39 @@ def test_pinch_q_clifford_point():
     sc = scalars(s)
     assert sc.norm_a2 == pytest.approx(s.h ** 2, rel=1e-13)
     assert sc.gauss_k == pytest.approx(0.0, abs=1e-13)
-    for k in (0.6, 29 / 40, 0.99):
-        assert pinch_q(s, k, gamma=1 - 4 * k / 3) == pytest.approx((1 - k) * s.h ** 2, rel=1e-12)
-        assert pinch_q(s, k, gamma=1 - 4 * k / 3) > 0
+    k = np.array([0.6, 29 / 40, 0.99])
+    q = pinching_fields(s.h, s.a, s.b, s.c, gamma=1 - 4 * k / 3, k=k)["q"]
+    assert q == pytest.approx((1 - k) * s.h ** 2, rel=1e-12)
+    assert (q > 0).all()
 
 
 @settings(max_examples=100, deadline=None)
 @given(frame_states())
 def test_pinch_q_reduces_to_norm_a2(s):
-    assert pinch_q(s, k=0.0, gamma=0.0, eps=0.0) == pytest.approx(scalars(s).norm_a2, rel=1e-13)
-    assert pinch_q(s, 0.0, 0.0, 0.0) >= 0
+    q = pinching_fields(s.h, s.a, s.b, s.c, gamma=0.0)["q"]
+    assert q == pytest.approx(scalars(s).norm_a2, rel=1e-13)
+    assert q >= 0
 
 
 def test_f_sigma_values():
-    assert f_sigma(SpecialFrameState(2, 0, 0, 0), sigma=0.3, gamma=0.5) == 0.0
-    got = f_sigma(SpecialFrameState(4, 1, 0, 1), sigma=0.0, gamma=1 / 30)
+    assert pinching_fields(2.0, 0.0, 0.0, 0.0, gamma=0.5, sigma=0.3)["fsigma"] == 0.0
+    got = pinching_fields(4.0, 1.0, 0.0, 1.0, gamma=1 / 30)["fsigma"]
     assert got == pytest.approx(31 / 120, rel=1e-13)
 
 
 @settings(max_examples=100, deadline=None)
 @given(frame_states(), st.floats(min_value=0.1, max_value=5))
 def test_f_sigma_scale_invariant_at_sigma_zero(s, lam):
-    f0 = f_sigma(s, 0.0, gamma=1 / 30)
-    fl = f_sigma(s.scaled(lam), 0.0, gamma=1 / 30)
+    f0, fl = (pinching_fields(x.h, x.a, x.b, x.c, gamma=1 / 30)["fsigma"]
+              for x in (s, scaled(s, lam)))
     assert fl == pytest.approx(f0, rel=1e-10, abs=1e-13)
 
 
 def test_f_sigma_degenerate_h():
-    with pytest.raises(DegenerateMeanCurvature):
-        f_sigma(SpecialFrameState(0.0, 1.0, 0.0, 0.0), 0.1, 0.5)
-    with pytest.raises(ValueError):
-        f_sigma(SpecialFrameState(1.0, 1.0, 0.0, 0.0), 1.0, 0.5)
-
-
-def test_z_ratio_umbilic_raises():
-    with pytest.raises(UmbilicPoint):
-        z_lower_bound_ratio(SpecialFrameState(2, 0, 0, 0), gamma=1 / 30)
+    # f_sigma is NaN where |H| <= tol_h, whatever the traceless part
+    h = np.array([0.0, TOL_H, 1.0])
+    fs = pinching_fields(h, np.ones(3), np.zeros(3), np.zeros(3), gamma=0.5, sigma=0.1)["fsigma"]
+    assert np.isnan(fs[:2]).all() and fs[2] == pytest.approx(2.0, rel=1e-15)
 
 
 def test_z_ratio_boundary_case_reaches_zero():
@@ -337,28 +347,11 @@ def test_z_ratio_boundary_case_reaches_zero():
     s = SpecialFrameState(h, a, 0.0, a)
     sc = scalars(s)
     assert sc.norm_a2 == pytest.approx(5 / 6 * h * h, rel=1e-12)
-    assert z_lower_bound_ratio(s, gamma=1 / 30) == pytest.approx(0.0, abs=1e-13)
+    assert z_ratio(h, a, 0.0, a, gamma=1 / 30) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_z_ratio_positive_inside_cone(rng):
-    vals = []
-    for _ in range(2000):
-        d = np.abs(rng.standard_normal(3))
-        x = rng.uniform(1e-4, 0.3)  # |Ac|^2 at h = 1, inside |A|^2 <= 0.8 |H|^2
-        d *= math.sqrt(x / 2) / np.linalg.norm(d)
-        vals.append(z_lower_bound_ratio(SpecialFrameState(1.0, *d), gamma=1 / 30))
-    assert min(vals) > 0
-
-
-# ---------------------------------------------------------------------------
-# dump format
-
-
-def test_frame_dump_round_trips_json():
-    d = frame_dump(SpecialFrameState(4, 1, 0, 1))
-    blob = json.loads(json.dumps(d))
-    assert blob["h"] == 4 and blob["a"] == 1
-    assert blob["normAcirc2"] == 4 and blob["gaussK"] == 2
-    assert blob["normalKperp"] == 2 and blob["normRmPerp2"] == 16
-    assert set(blob) == {"h", "a", "b", "c", "normA2", "normAcirc2", "gaussK",
-                         "normalKperp", "normRmPerp2", "R1", "R2", "R3"}
+    d = np.abs(rng.standard_normal((2000, 3)))
+    x = rng.uniform(1e-4, 0.3, 2000)  # |Ac|^2 at h = 1, inside |A|^2 <= 0.8 |H|^2
+    d *= np.sqrt(x / 2)[:, None] / np.linalg.norm(d, axis=1, keepdims=True)
+    assert (z_ratio(np.ones(2000), *d.T, gamma=1 / 30) > 0).all()

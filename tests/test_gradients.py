@@ -5,20 +5,18 @@ from hypothesis import strategies as st
 
 from codim2flow.curvature import SpecialFrameState
 from codim2flow.gradients import (
+    _WEIGHTS,
     GradientState,
     check_gradient_inequalities,
-    decompose_ef,
-    exact_min_slack_kperp_evol,
     grad_kperp,
-    grad_kperp_bound,
+    grad_kperp_bound_fields,
     grad_kperp_closed,
+    gradient_norms,
     gradient_slacks,
+    kperp_cross,
     kperp_cross_raw,
-    nabla_evol_kperp,
-    nabla_evol_kperp_raw,
-    norm_grad_a2,
-    norm_grad_h2,
     sweep_inequalities,
+    trace_part,
 )
 
 comp4 = st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=4, max_size=4)
@@ -33,15 +31,13 @@ def grad_states():
 
 
 def test_norm_grad_a2_values():
-    assert norm_grad_a2(GradientState([1, 0, 0, 0], [0, 0, 0, 0])) == 1.0
-    assert norm_grad_a2(GradientState([0.75, 0, 0.25, 0], [0, 0, 0, 0])) == 0.75
-    assert norm_grad_a2(GradientState([0, 0, 0, 0], [0, 0, 0, 0])) == 0.0
+    u = np.array([[1, 0, 0, 0], [0.75, 0, 0.25, 0], [0, 0, 0, 0]])
+    assert gradient_norms(u, np.zeros_like(u))[0].tolist() == [1.0, 0.75, 0.0]
 
 
 def test_norm_grad_h2_values():
-    assert norm_grad_h2(GradientState([1, 0, 0, 0], [0, 0, 0, 0])) == 1.0
-    assert norm_grad_h2(GradientState([1, 0, -1, 0], [0, 0, 0, 0])) == 0.0
-    assert norm_grad_h2(GradientState([0.75, 0, 0.25, 0], [0, 0, 0, 0])) == 1.0
+    u = np.array([[1, 0, 0, 0], [1, 0, -1, 0], [0.75, 0, 0.25, 0]])
+    assert gradient_norms(u, np.zeros_like(u))[1].tolist() == [1.0, 0.0, 1.0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -53,7 +49,7 @@ def test_norm_grad_a2_matches_full_tensor_sum(g):
             for k in range(2):
                 for al in range(2):
                     tot += g.component(i, j, k, al) ** 2
-    assert norm_grad_a2(g) == pytest.approx(tot, rel=1e-12, abs=1e-12)
+    assert gradient_norms(g.u, g.v)[0] == pytest.approx(tot, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -61,33 +57,31 @@ def test_norm_grad_a2_matches_full_tensor_sum(g):
 
 
 def test_decompose_ef_pure_trace_witness():
-    g = GradientState([0.75, 0, 0.25, 0], [0, 0, 0, 0])
-    e, f = decompose_ef(g)
-    assert np.allclose(e.u, g.u) and np.allclose(e.v, g.v)
-    assert np.allclose(f.u, 0) and np.allclose(f.v, 0)
-    assert norm_grad_a2(g) == pytest.approx(0.75 * norm_grad_h2(g), abs=1e-15)
+    u, v = np.array([0.75, 0, 0.25, 0]), np.zeros(4)
+    assert np.allclose(trace_part(u), u) and np.allclose(trace_part(v), 0)
+    na2, nh2 = gradient_norms(u, v)
+    assert na2 == pytest.approx(0.75 * nh2, abs=1e-15)
 
 
 def test_decompose_ef_trace_free():
-    g = GradientState([1, 0, -1, 0], [0, 0, 0, 0])
-    e, f = decompose_ef(g)
-    assert np.allclose(e.u, 0) and np.allclose(e.v, 0)
-    assert np.allclose(f.u, g.u) and np.allclose(f.v, g.v)
+    assert np.allclose(trace_part(np.array([1, 0, -1, 0])), 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(grad_states())
 def test_decompose_ef_orthogonal_pythagoras(g):
-    e, f = decompose_ef(g)
-    na2 = norm_grad_a2(g)
-    assert np.allclose(e.u + f.u, g.u) and np.allclose(e.v + f.v, g.v)
+    # DA = E + F with E = trace_part of each normal slot
+    eu, ev = trace_part(g.u), trace_part(g.v)
+    fu, fv = g.u - eu, g.v - ev
+    na2, nh2 = gradient_norms(g.u, g.v)
+    e2, f2 = gradient_norms(eu, ev)[0], gradient_norms(fu, fv)[0]
     # weighted inner product with the symmetric-pattern multiplicities
     w = np.array([1.0, 3.0, 3.0, 1.0])
-    assert abs(w @ (e.u * f.u) + w @ (e.v * f.v)) <= 1e-12 * (1 + na2)
-    assert abs(norm_grad_a2(e) + norm_grad_a2(f) - na2) <= 1e-12 * (1 + na2)
-    assert abs(norm_grad_a2(e) - 0.75 * norm_grad_h2(g)) <= 1e-12 * (1 + na2)
+    assert abs(w @ (eu * fu) + w @ (ev * fv)) <= 1e-12 * (1 + na2)
+    assert abs(e2 + f2 - na2) <= 1e-12 * (1 + na2)
+    assert abs(e2 - 0.75 * nh2) <= 1e-12 * (1 + na2)
     # F is trace free
-    assert norm_grad_h2(f) <= 1e-12 * (1 + na2)
+    assert gradient_norms(fu, fv)[1] <= 1e-12 * (1 + na2)
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +89,18 @@ def test_decompose_ef_orthogonal_pythagoras(g):
 
 
 def test_nabla_evol_kperp_needs_both_normals():
-    assert nabla_evol_kperp(GradientState([1, 2, 3, 4], [0, 0, 0, 0])) == 0.0
+    assert kperp_cross(np.array([1.0, 2, 3, 4]), np.zeros(4)) == 0.0
 
 
 def test_nabla_evol_kperp_unit_example():
-    assert nabla_evol_kperp(GradientState([1, 0, 0, 0], [0, 1, 0, 0])) == 1.0
+    assert kperp_cross(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0])) == 1.0
 
 
 @settings(max_examples=300, deadline=None)
 @given(grad_states())
 def test_nabla_evol_kperp_raw_sum_oracle(g):
-    closed = nabla_evol_kperp(g)
-    raw = nabla_evol_kperp_raw(g)
+    closed = kperp_cross(g.u, g.v)
+    raw = kperp_cross_raw(g.u, g.v)
     assert abs(closed - raw) <= 1e-12 * (1 + abs(raw))
 
 
@@ -115,8 +109,7 @@ def test_kperp_cross_raw_batch_matches_scalar_raw_sum(rng):
     raw = kperp_cross_raw(samples[:, :4], samples[:, 4:])
     assert raw.shape == (500,)
     for row, r in zip(samples, raw):
-        assert r == pytest.approx(nabla_evol_kperp_raw(GradientState(row[:4], row[4:])),
-                                  rel=1e-14, abs=1e-14)
+        assert r == pytest.approx(kperp_cross_raw(row[:4], row[4:]), rel=1e-14, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +141,7 @@ def test_gradient_slacks_batch_matches_scalar_rows(rng):
         g = GradientState(row[:4], row[4:])
         sl = check_gradient_inequalities(g)
         # a batched matmul may sum the weighted squares in another order
-        assert norm_grad_a2(g) == pytest.approx(na2[i], rel=1e-14)
+        assert gradient_norms(g.u, g.v)[0] == pytest.approx(na2[i], rel=1e-14)
         tol = 1e-14 * (1 + na2[i])
         assert sl.trace_bound == pytest.approx(batch.trace_bound[i], rel=0, abs=tol)
         assert sl.traceless_bound == pytest.approx(batch.traceless_bound[i], rel=0, abs=tol)
@@ -160,7 +153,27 @@ def test_kperp_evol_equality_family():
     for t in (0.0, 0.5, 1.7, -2.3):
         g = GradientState([-t, 1, t, -1], [-1, -t, 1, t])
         sl = check_gradient_inequalities(g)
-        assert abs(sl.kperp_evol_bound) <= 1e-12 * (1 + norm_grad_a2(g))
+        assert abs(sl.kperp_evol_bound) <= 1e-12 * (1 + gradient_norms(g.u, g.v)[0])
+
+
+def exact_min_slack_kperp_evol() -> float:
+    """Exact minimum slack of the third inequality on the unit sphere.
+
+    Solves the symmetric 8x8 eigenvalue problem for the cross-term quadratic
+    form in the weighted metric.
+    """
+    w = np.concatenate([_WEIGHTS, _WEIGHTS])
+    # cross term as a symmetric bilinear form on (u, v)
+    m = np.zeros((8, 8))
+    pairs = [((0, 5), 1.0), ((1, 4), -1.0), ((1, 6), 2.0), ((2, 5), -2.0),
+             ((2, 7), 1.0), ((3, 6), -1.0)]
+    for (i, j), coef in pairs:
+        m[i, j] += coef / 2
+        m[j, i] += coef / 2
+    d = 1.0 / np.sqrt(w)
+    mw = d[:, None] * m * d[None, :]
+    lam_max = float(np.linalg.eigvalsh(mw)[-1])
+    return 1.0 - 2.0 * lam_max
 
 
 def test_exact_min_slack_kperp_evol_is_zero():
@@ -172,18 +185,15 @@ def test_exact_min_slack_kperp_evol_is_zero():
 
 
 def test_grad_kperp_zero_gradient():
-    s = SpecialFrameState(2.0, 0.3, -0.1, 0.4)
-    lhs, rhs = grad_kperp_bound(s, GradientState([0] * 4, [0] * 4))
+    lhs, rhs = grad_kperp_bound_fields(2.0, 0.3, -0.1, 0.4, np.zeros(4), np.zeros(4))
     assert lhs == 0.0 and rhs == 0.0
 
 
 def test_grad_kperp_vanishes_at_umbilic(rng):
-    s = SpecialFrameState(3.7, 0.0, 0.0, 0.0)
-    for _ in range(50):
-        g = GradientState(rng.standard_normal(4), rng.standard_normal(4))
-        lhs, rhs = grad_kperp_bound(s, g)
-        assert rhs == 0.0
-        assert lhs <= 1e-13 * (1 + norm_grad_a2(g))
+    u, v = rng.standard_normal((2, 50, 4))
+    lhs, rhs = grad_kperp_bound_fields(3.7, 0.0, 0.0, 0.0, u, v)
+    assert (rhs == 0.0).all()
+    assert (lhs <= 1e-13 * (1 + gradient_norms(u, v)[0])).all()
 
 
 def test_grad_kperp_matches_product_rule_sum(rng):
@@ -200,9 +210,9 @@ def test_grad_kperp_matches_product_rule_sum(rng):
 
 
 def test_grad_kperp_bound_sweep(rng):
-    for _ in range(10 ** 4):
-        h = abs(rng.standard_normal()) + 0.1
-        s = SpecialFrameState(h, *rng.standard_normal(3))
-        g = GradientState(rng.standard_normal(4), rng.standard_normal(4))
-        lhs, rhs = grad_kperp_bound(s, g)
-        assert lhs <= rhs + 1e-12 * (1 + rhs)
+    n = 10 ** 4
+    h = np.abs(rng.standard_normal(n)) + 0.1
+    a, b, c = rng.standard_normal((3, n))
+    u, v = rng.standard_normal((2, n, 4))
+    lhs, rhs = grad_kperp_bound_fields(h, a, b, c, u, v)
+    assert (lhs <= rhs + 1e-12 * (1 + rhs)).all()

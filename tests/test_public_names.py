@@ -1,0 +1,50 @@
+"""Every public function and class of the algebra modules has a caller or a README entry.
+
+A public top-level name counts as used when some module of the package
+reads it outside its own definition (an import alone does not count), or
+when README.md names it in backticks.  A name that only tests call is
+dead weight in the package.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "codim2flow"
+
+
+def _names_read(node, skip=None):
+    """Identifiers that node loads, as names or attributes, outside the subtree skip."""
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if child is skip:
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            out.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            out.add(child.attr)
+        out |= _names_read(child, skip)
+    return out
+
+
+def _readme_names():
+    spans = re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text())
+    return {tok for span in spans for tok in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+@pytest.mark.parametrize("module", ["curvature", "gradients", "certifier", "identities"])
+def test_public_names_have_a_caller_or_a_readme_entry(module):
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    documented = _readme_names()
+    unused = []
+    for node in trees[module].body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        used = any(node.name in _names_read(tree, skip=node if name == module else None)
+                   for name, tree in trees.items())
+        if not (used or node.name in documented):
+            unused.append(node.name)
+    assert unused == [], f"{module}: public names with no caller in src/ and no README entry"
