@@ -325,18 +325,21 @@ def _cmd_rescale(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="codim2flow",
+    # options for before or after the subcommand; main holds their defaults, so
+    # a subparser that is not given one cannot reset a value given before it
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out", type=str, help="output directory")
+    common.add_argument("--jobs", type=int)
+    ap = argparse.ArgumentParser(prog="codim2flow", parents=[common],
                                  description="codimension-two mean curvature flow toolkit")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", type=str, default=None, help="output directory")
-    ap.add_argument("--jobs", type=int, default=1)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("identities", help="identity/inequality sweeps")
+    p = sub.add_parser("identities", parents=[common], help="identity/inequality sweeps")
     p.add_argument("--count", type=int, default=100_000)
     p.set_defaults(func=_cmd_identities)
 
-    p = sub.add_parser("certify", help="reaction-sign certificate at one k")
+    p = sub.add_parser("certify", parents=[common], help="reaction-sign certificate at one k")
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--grid", type=int, default=256)
@@ -344,7 +347,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-override", type=float, default=None)
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("scan", help="threshold bisection in k")
+    p = sub.add_parser("scan", parents=[common], help="threshold bisection in k")
     p.add_argument("--k-low", type=float, required=True)
     p.add_argument("--k-high", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
@@ -352,12 +355,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200_000)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("flow", help="run flow scenarios")
+    p = sub.add_parser("flow", parents=[common], help="run flow scenarios")
     p.add_argument("scenario", nargs="+",
                    help=f"preset ({', '.join(sorted(SCENARIO_PRESETS))}) or config file")
     p.set_defaults(func=_cmd_flow)
 
-    p = sub.add_parser("rescale", help="type-I rescaling of a finished run")
+    p = sub.add_parser("rescale", parents=[common], help="type-I rescaling of a finished run")
     p.add_argument("--run", type=str, required=True, help="flow output directory")
     p.set_defaults(func=_cmd_rescale)
     return ap
@@ -366,7 +369,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = make_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(argv, argparse.Namespace(seed=0, out=None, jobs=1))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -1,10 +1,9 @@
 """Mean curvature flow of closed surfaces in R^4 with monitors.
 
-Each step moves every vertex along the normal part of a Crank-Nicolson
-cotan displacement: a linear system with the cotan stiffness at the
-step's midpoint, with a timestep limited by the largest curvature.  Steps
-that increase total area or invert a triangle in its own tangent
-projection are rejected and retried at half the step, up to ten halvings.
+Each step moves every vertex along the normal part of a one-solve
+Crank-Nicolson cotan displacement, with a timestep limited by the largest
+curvature; a step that increases total area or inverts a triangle in its
+own tangent projection is retried at half the step, up to ten halvings.
 
 The trace records, per accepted step, the pinching and decay monitors
 derived from the jet-fit curvature: extremes of |H|, |A|^2, the pinching
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .certifier import epsilon_z_scan
+from .certifier import epsilon_z_scan, gamma_for_k
 from .curvature import TOL_H, pinching_fields
 from .errors import (
     EpsilonZNotPositive,
@@ -58,7 +57,7 @@ class FlowConfig:
     sigma: float = 0.05
     p: float = 10.0
     # dt = cfl / max |A|^2.  At 0.01 (dt = r^2 / 200 on a sphere) the
-    # sphere_r1 oracle holds its worst radius error to r = 0.2 at 0.12%;
+    # sphere_r1 oracle holds its worst radius error to r = 0.2 at 0.062%;
     # the error grows 4x per doubling of cfl
     cfl: float = 0.01
     stop_a2: float | None = None        # defaults to stop_factor x initial max |A|^2
@@ -86,8 +85,9 @@ class FlowConfig:
             setattr(self, name, int(getattr(self, name)))
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if not self.stop_factor > 0:
-            raise ValueError(f"stop_factor must be positive, got {self.stop_factor}")
+        for name in ("stop_factor", "epsilon_z"):
+            if getattr(self, name) is not None and not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl}")
         # what poincare_check needs; the monitor would otherwise log NaN
@@ -95,7 +95,7 @@ class FlowConfig:
             raise ValueError(f"need p >= 2, eta > 0 and 0 <= sigma < 1, got p = {self.p}, "
                              f"eta = {self.eta}, sigma = {self.sigma}")
         if self.gamma is None:
-            self.gamma = 1.0 - 4.0 * self.k / 3.0
+            self.gamma = gamma_for_k(self.k)
 
     def resolved_epsilon_z(self) -> float:
         if self.epsilon_z is None:
@@ -254,7 +254,7 @@ class StepInfo:
     dt: float
     nominal_dt: float      # before any halving
     rejections: list       # one reason per halving: "inversion" or "area"
-    cg_iterations: list    # per linear solve, the most iterations any coordinate took
+    cg_iterations: list    # per attempt, the most iterations any coordinate took in its solve
     h_gap: float           # largest relative jet/cotan |H| gap on the accepted mesh
 
 
@@ -315,24 +315,20 @@ def _cn_solve(mesh: SurfaceMesh, mass: np.ndarray, dt: float,
                       mass + 0.5 * dt * diagonal, -dt * product(x))
 
 
-def _crank_nicolson_displacement(mesh: SurfaceMesh, dt: float) -> tuple[np.ndarray, list]:
+def _crank_nicolson_displacement(mesh: SurfaceMesh, dt: float) -> tuple[np.ndarray, int]:
     """Normal part of the Crank-Nicolson displacement, with the operator at the midpoint.
 
     The flow M dX/dt = -A(X) X is stepped as (M + dt/2 A) D = -dt A X^n
     with M (the mixed areas) and A (the cotan stiffness) taken at the
-    midpoint X~.  A linearly implicit Euler half step from X^n,
-    (M + dt/2 A) D~ = -(dt/2) A X^n at X^n, gives X~ = X^n + D~ to O(dt^2),
-    which keeps the step second order.  Only D is projected onto the
-    normal planes at X^n: X~ must be the midpoint of the unprojected D (a
-    projected half step measured first order on icosphere(1, 3)).  Returns
-    the displacement and the iteration counts of the two solves.
+    midpoint X~ = X^n + (dt/2) H_cot, an explicit half step along the cotan
+    velocity H_cot = -M^-1 A X^n.  X~ is right to O(dt^2), so one solve keeps
+    the step second order.  Only D is projected onto the normal planes at
+    X^n (a projected H_cot measured first order on icosphere(1, 3)).
+    Returns the displacement and the solve's iteration count.
     """
-    x = mesh.vertices
-    # the half step's system is the full step's at X^n, with half its right-hand side
-    full, it_half = _cn_solve(mesh, mesh.vertex_area, dt, x)
-    mid = mesh.with_vertices(x + 0.5 * full)
-    disp, it = _cn_solve(mid, mixed_voronoi_areas(mid), dt, x)
-    return _normal_part(mesh.normal, disp), [it_half, it]
+    mid = mesh.with_vertices(mesh.vertices + 0.5 * dt * mesh.mean_curv_cot)
+    disp, it = _cn_solve(mid, mixed_voronoi_areas(mid), dt, mesh.vertices)
+    return _normal_part(mesh.normal, disp), it
 
 
 def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
@@ -368,8 +364,8 @@ def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
         g = cent - mesh.vertices
         shift = cfg.redistribution * (g - _normal_part(nor, g))
     for _ in range(10):
-        disp, iters = _crank_nicolson_displacement(mesh, dt)
-        cg_iterations += iters
+        disp, it = _crank_nicolson_displacement(mesh, dt)
+        cg_iterations.append(it)
         cand = mesh.vertices + disp + shift
         # NaN passes both rejection tests below
         if not np.isfinite(cand).all():

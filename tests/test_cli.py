@@ -70,6 +70,18 @@ def test_cmd_identities_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["identities", "--count", "5000"]) == 1
 
 
+def test_global_options_after_the_subcommand(tmp_path):
+    # a subcommand that is not given --seed must not reset one given before it
+    before = ["--seed", "3", "--out", str(tmp_path / "before"), "identities", "--count", "10"]
+    after = ["identities", "--seed", "3", "--out", str(tmp_path / "after"), "--count", "10"]
+    for argv in (before, after):
+        assert main(argv) == 0
+    seeds = [json.loads((tmp_path / d / "identities.json").read_text())["seed"]
+             for d in ("before", "after")]
+    assert seeds == [3, 3]
+    assert main(["identities", "--seed", "0", "--count", "10"]) == 0
+
+
 def test_cmd_identities_count_zero():
     assert main(["identities", "--count", "0"]) == 0
 
@@ -358,7 +370,8 @@ def test_bad_off4_topology_is_config_error(tmp_path, verts, faces):
                                  {"min_angle_deg": "NaN", "max_steps": 3},
                                  {"epsilon_z": "NaN", "max_steps": 3},
                                  {"k": "NaN", "max_steps": 3},
-                                 {"max_steps": "Infinity"}])
+                                 {"max_steps": "Infinity"},
+                                 {"epsilon_z": -1.0, "max_steps": 3}])
 def test_bad_flow_config_values_are_config_errors(tmp_path, bad):
     cfg = tiny_scenario(tmp_path, **bad)
     assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 2
