@@ -170,7 +170,8 @@ def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
         raise AssertionError(f"reduced/unreduced reaction mismatch: {reldev:.3e}")
 
     imax = int(np.argmax(values))
-    order = np.argsort(values)[::-1][:worst_n]
+    # worst_n = 0 skips the sort: threshold_scan only reads max_value
+    order = np.argsort(values)[::-1][:worst_n] if worst_n else []
     worst = [(float(a[i]), float(b[i]), float(c[i]), float(values[i])) for i in order]
     return CertificateReport(
         k=float(k), gamma=float(gamma), delta=float(delta),
@@ -220,7 +221,7 @@ def threshold_scan(k_low: float, k_high: float, tol_k: float = 1e-3,
     def max_at(k):
         return certify_negativity(k, delta=delta, grid=grid,
                                   random_samples=random_samples, seed=seed,
-                                  worst_n=1).max_value
+                                  worst_n=0).max_value
 
     lo_val, hi_val = max_at(k_low), max_at(k_high)
     evals = 2

@@ -280,12 +280,19 @@ def tensor_z_batch(comp, mean_curv):
     """Nonlinearity of the contracted Simons identity, as raw tensor sums.
 
     comp is (n, 2, 2, alpha) and mean_curv (n, 2); returns (n,) values.
+    The sums run on (2, 2, 2, n) and (2, n) copies, sample index last, so
+    each contraction's inner loop runs over the samples rather than over
+    2-element axes.  The cubic term sum H_a A_ipa A_ijb A_pjb contracts
+    pairwise, T_ip = sum_jb A_ijb A_pjb first.
     """
-    cubic = np.einsum("na,nipa,nijb,npjb->n", mean_curv, comp, comp, comp)
-    gram = np.einsum("nija,nijb->nab", comp, comp)
-    rp = np.einsum("nipa,njpb->nijab", comp, comp)
-    rperp = rp - rp.transpose(0, 2, 1, 3, 4)
-    return cubic - np.einsum("nab,nab->n", gram, gram) - np.einsum("nijab,nijab->n", rperp, rperp)
+    A = np.ascontiguousarray(np.moveaxis(comp, 0, -1))
+    H = np.ascontiguousarray(mean_curv.T)
+    T = np.einsum("ijbn,pjbn->ipn", A, A)
+    cubic = np.einsum("ipn,ipn->n", np.einsum("an,ipan->ipn", H, A), T)
+    gram = np.einsum("ijan,ijbn->abn", A, A)
+    rp = np.einsum("ipan,jpbn->ijabn", A, A)
+    rperp = rp - rp.transpose(1, 0, 2, 3, 4)
+    return cubic - np.einsum("abn,abn->n", gram, gram) - np.einsum("ijabn,ijabn->n", rperp, rperp)
 
 
 def simons_z_tensor(t: ShapeTensor) -> float:

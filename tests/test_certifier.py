@@ -151,6 +151,14 @@ def test_certify_positive_at_three_quarters():
     assert v > 0 and a > c > 0 and abs(b) < 0.2
 
 
+def test_certify_worst_n_zero_changes_only_the_worst_list():
+    # threshold_scan asks for no worst samples, which skips the sort
+    full = certify_negativity(0.75, grid=64, random_samples=20_000, seed=1)
+    bare = certify_negativity(0.75, grid=64, random_samples=20_000, seed=1, worst_n=0)
+    assert bare.worst == [] and len(full.worst) == 100
+    assert bare.as_dict() == full.as_dict()
+
+
 def test_certify_k1_gamma1_identically_zero(rng):
     rep = certify_negativity(1.0, gamma_override=1.0, grid=64, random_samples=10_000, seed=3)
     assert rep.max_value <= 1e-10

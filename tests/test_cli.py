@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -59,6 +60,50 @@ def test_identity_sweep_detects_injected_sign_flip(monkeypatch):
     assert not report["pass"]
     failed = {p["property"] for p in report["properties"] if not p["pass"]}
     assert "simons_closed_vs_tensor" in failed
+
+
+def test_identity_report_independent_of_chunk_size(monkeypatch):
+    # 5003 rows are 714 chunks of 7 and a short last one, or one chunk
+    reports = []
+    for chunk in (7, 5003):
+        monkeypatch.setattr(identities, "_CHUNK", chunk)
+        reports.append(json.dumps(identity_report(seed=3, count=5003)))
+    assert reports[0] == reports[1]
+
+
+def test_nan_in_last_chunk_fails_the_sweep(monkeypatch):
+    # a NaN deviation in the last chunk must not be dropped when chunk maxima combine
+    monkeypatch.setattr(identities, "_CHUNK", 7)
+    orig = identities.closed_z_batch
+
+    def nan_on_last_row(h, a, b, c):
+        z = orig(h, a, b, c)
+        if h.size < 7:  # 5003 rows: only the last chunk is short
+            z[-1] = np.nan
+        return z
+
+    monkeypatch.setattr(identities, "closed_z_batch", nan_on_last_row)
+    report = identity_report(seed=3, count=5003)
+    simons = next(p for p in report["properties"] if p["property"] == "simons_closed_vs_tensor")
+    assert np.isnan(simons["worst"]) and not simons["pass"]
+    assert report["pass"] is False
+
+
+def test_worst_keeps_first_tie_and_any_nan():
+    assert identities._worst([(1.0, 0), (2.0, 1), (2.0, 2)]) == (2.0, 1)
+    value, row = identities._worst([(1.0, 0), (3.0, 1), (np.nan, 2), (np.nan, 3)])
+    assert np.isnan(value) and row == 2
+
+
+def test_identity_sweep_memory_is_bounded():
+    # the drawn states peak at 96 B a row; the chunked evaluation adds a fixed amount
+    tracemalloc.start()
+    try:
+        identity_report(seed=0, count=300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_cmd_identities_exit_codes(tmp_path, capsys, monkeypatch):
