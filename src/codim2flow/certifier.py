@@ -133,24 +133,10 @@ class CertificateReport:
         }
 
 
-def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
-                       random_samples: int = 10 ** 6, seed: int = 0,
-                       gamma_override: float | None = None,
-                       worst_n: int = 100) -> CertificateReport:
-    """Sample the eps = 0 reaction over the unit sphere and report its maximum.
-
-    gamma defaults to 1 - (4/3) k - delta; pass gamma_override to decouple
-    the two constants (e.g. the k = gamma = 1 borderline case).  Homogeneity
-    of degree four reduces the sign question to the sphere:  an octant grid
-    of the stated resolution plus seeded uniform random directions.
-    """
-    _check_k(k)
+def _sphere_samples(grid: int, random_samples: int, seed: int):
+    """(a, b, c, oracle_rows): octant grid, seeded unit directions, then the oracle rows."""
     if grid < MIN_GRID:
         raise ResolutionTooCoarse(f"grid resolution {grid} < {MIN_GRID}")
-    gamma = gamma_for_k(k, delta) if gamma_override is None else gamma_override
-    if not np.isfinite([delta, gamma]).all():
-        raise ValueError(f"delta and gamma must be finite, got delta = {delta}, gamma = {gamma}")
-
     ga, gb, gc = _octant_sphere_grid(grid)
     rng = np.random.default_rng(seed)
     r = rng.standard_normal((random_samples, 3))
@@ -158,20 +144,41 @@ def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
     a = np.concatenate([ga, np.abs(r[:, 0])])
     b = np.concatenate([gb, r[:, 1]])
     c = np.concatenate([gc, np.abs(r[:, 2])])
+    return a, b, c, rng.choice(a.size, size=min(2000, a.size), replace=False)
 
-    # cross-check the reduction against the unreduced reaction on a subset;
-    # an overflow shows up there as a non-finite deviation
+
+def _checked_reaction(samples, k, gamma):
+    """eps = 0 reduced reaction and its deviation from unreduced_reaction on the oracle rows."""
+    # an overflow shows up as a non-finite deviation, which fails the check
+    a, b, c, idx = samples
     with np.errstate(over="ignore", invalid="ignore"):
         values = reaction_expression(a, b, c, 0.0, k, gamma)
-        idx = rng.choice(values.size, size=min(2000, values.size), replace=False)
         ora = unreduced_reaction(a[idx], b[idx], c[idx], 0.0, k, gamma)
         reldev = float(np.max(np.abs(values[idx] - ora) / (1.0 + np.abs(ora))))
     if not reldev <= ORACLE_RTOL:
         raise AssertionError(f"reduced/unreduced reaction mismatch: {reldev:.3e}")
+    return values, reldev
 
+
+def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
+                       random_samples: int = 10 ** 6, seed: int = 0,
+                       gamma_override: float | None = None) -> CertificateReport:
+    """Sample the eps = 0 reaction over the unit sphere: its maximum and 100 largest values.
+
+    gamma defaults to 1 - (4/3) k - delta; pass gamma_override to decouple
+    the two constants (e.g. the k = gamma = 1 borderline case).  Homogeneity
+    of degree four reduces the sign question to the sphere:  an octant grid
+    of the stated resolution plus seeded uniform random directions.
+    """
+    _check_k(k)
+    samples = _sphere_samples(grid, random_samples, seed)
+    gamma = gamma_for_k(k, delta) if gamma_override is None else gamma_override
+    if not np.isfinite([delta, gamma]).all():
+        raise ValueError(f"delta and gamma must be finite, got delta = {delta}, gamma = {gamma}")
+    values, reldev = _checked_reaction(samples, k, gamma)
+    a, b, c, _ = samples
     imax = int(np.argmax(values))
-    # worst_n = 0 skips the sort: threshold_scan only reads max_value
-    order = np.argsort(values)[::-1][:worst_n] if worst_n else []
+    order = np.argsort(values)[::-1][:100]
     worst = [(float(a[i]), float(b[i]), float(c[i]), float(values[i])) for i in order]
     return CertificateReport(
         k=float(k), gamma=float(gamma), delta=float(delta),
@@ -189,8 +196,8 @@ class ThresholdScanResult:
     k_star: float
     tol_k: float
     bracket: tuple
-    negative_below: bool   # certified negative at k_star - tol_k
-    positive_above: bool   # certified positive at k_star + tol_k
+    negative_below: bool   # certified negative at max(k_star - tol_k, k_low)
+    positive_above: bool   # certified positive at min(k_star + tol_k, k_high)
     evaluations: int
 
     def as_dict(self) -> dict:
@@ -206,22 +213,23 @@ class ThresholdScanResult:
 
 def threshold_scan(k_low: float, k_high: float, tol_k: float = 1e-3,
                    grid: int = 256, random_samples: int = 200_000,
-                   seed: int = 0, delta: float = 0.0) -> ThresholdScanResult:
+                   seed: int = 0) -> ThresholdScanResult:
     """Bisect for the k where the sampled reaction maximum changes sign.
 
-    Requires k_low < k_high, tol_k > 0 and a valid bracket: negative
-    maximum at k_low, positive at k_high.  gamma follows 1 - (4/3) k - delta
-    throughout.
+    Requires k_low < k_high in (1/2, 1], tol_k >= the float spacing at k_high
+    and a bracket with a negative maximum at k_low and a positive one at k_high,
+    gamma = 1 - (4/3) k.  Draws certify_negativity's samples once, cross-checked at each k.
     """
-    if not tol_k > 0:
-        raise ValueError(f"tol_k must be positive, got {tol_k}")
+    if not tol_k >= np.spacing(k_high):
+        raise ValueError(f"tol_k must be at least the float spacing at k_high = {k_high}, got {tol_k}")
     if not k_low < k_high:
         raise BracketInvalid(f"need k_low < k_high, got [{k_low}, {k_high}]")
+    _check_k(k_low)
+    _check_k(k_high)
+    samples = _sphere_samples(grid, random_samples, seed)
 
     def max_at(k):
-        return certify_negativity(k, delta=delta, grid=grid,
-                                  random_samples=random_samples, seed=seed,
-                                  worst_n=0).max_value
+        return float(np.max(_checked_reaction(samples, k, gamma_for_k(k))[0]))
 
     lo_val, hi_val = max_at(k_low), max_at(k_high)
     evals = 2
@@ -238,8 +246,8 @@ def threshold_scan(k_low: float, k_high: float, tol_k: float = 1e-3,
         else:
             hi = mid
     k_star = 0.5 * (lo + hi)
-    neg = max_at(max(k_star - tol_k, 0.5 + 1e-9)) < 0
-    pos = max_at(min(k_star + tol_k, 1.0)) > 0
+    neg = max_at(max(k_star - tol_k, k_low)) < 0
+    pos = max_at(min(k_star + tol_k, k_high)) > 0
     evals += 2
     return ThresholdScanResult(k_star=k_star, tol_k=tol_k, bracket=(lo, hi),
                                negative_below=neg, positive_above=pos,

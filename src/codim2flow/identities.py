@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._heap import releases_heap
 from .certifier import gamma_for_k, reaction_expression, unreduced_reaction
 from .curvature import field_scalars, lift_batch, reaction_terms, special_frame_fields, tensor_z_batch
 from .gradients import (_WEIGHTS, grad_kperp_bound_fields, gradient_slacks, kperp_cross,
@@ -87,6 +88,7 @@ def identity_report(seed: int, count: int) -> dict:
     return {"seed": int(seed), "count": int(count), "pass": ok, "properties": props}
 
 
+@releases_heap
 def _curvature_sweeps(rng, count):
     fields = random_frame_fields(rng, count)
     n = max(count // 10, 100)
@@ -141,6 +143,7 @@ def _curvature_sweeps(rng, count):
     ]
 
 
+@releases_heap
 def _gradient_sweeps(rng, count):
     samples = rng.standard_normal((count, 8))
     fields = random_frame_fields(rng, count)
@@ -185,6 +188,7 @@ def _gradient_sweeps(rng, count):
     return out + [_entry(name, count, dev, 1e-12) for name, (dev, _) in _sweep(count, devs).items()]
 
 
+@releases_heap
 def _reaction_sweeps(rng, count):
     a, b, c = rng.standard_normal((3, count))
     k = rng.uniform(0.55, 1.0, count)

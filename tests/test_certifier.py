@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codim2flow import certifier
 from codim2flow.certifier import (
     ConeSample,
     certify_negativity,
@@ -151,14 +153,6 @@ def test_certify_positive_at_three_quarters():
     assert v > 0 and a > c > 0 and abs(b) < 0.2
 
 
-def test_certify_worst_n_zero_changes_only_the_worst_list():
-    # threshold_scan asks for no worst samples, which skips the sort
-    full = certify_negativity(0.75, grid=64, random_samples=20_000, seed=1)
-    bare = certify_negativity(0.75, grid=64, random_samples=20_000, seed=1, worst_n=0)
-    assert bare.worst == [] and len(full.worst) == 100
-    assert bare.as_dict() == full.as_dict()
-
-
 def test_certify_k1_gamma1_identically_zero(rng):
     rep = certify_negativity(1.0, gamma_override=1.0, grid=64, random_samples=10_000, seed=3)
     assert rep.max_value <= 1e-10
@@ -174,8 +168,8 @@ def test_threshold_scan_bracket_guard():
 
 
 def test_threshold_scan_rejects_bad_tolerance_and_bracket_order():
-    # a zero or negative tolerance would bisect forever once lo and hi are adjacent floats
-    for tol in (0.0, -1e-3, float("nan")):
+    # a tolerance below the float spacing would bisect forever once lo and hi are adjacent floats
+    for tol in (0.0, -1e-3, float("nan"), 1e-20):
         with pytest.raises(ValueError):
             threshold_scan(0.66, 0.75, tol_k=tol, grid=64, random_samples=1000)
     for lo, hi in ((0.75, 0.66), (0.7, 0.7)):
@@ -190,6 +184,41 @@ def test_threshold_scan_locates_sign_change():
     assert res.bracket[1] - res.bracket[0] <= 2e-3
     # sign boundary of the quartic is sharply determined: ~0.703
     assert res.k_star == pytest.approx(0.7030, abs=5e-3)
+
+
+def test_threshold_scan_matches_per_k_certificates(monkeypatch):
+    # reference bisection with one full certificate per evaluation
+    kw = dict(grid=64, random_samples=20_000, seed=5)
+    k_low, k_high, tol = 0.66, 0.75, 2e-3
+
+    def max_at(k):
+        return certify_negativity(k, **kw).max_value
+
+    assert max_at(k_low) < 0 < max_at(k_high)
+    lo, hi, evals = k_low, k_high, 2
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        evals += 1
+        if max_at(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    k_star = 0.5 * (lo + hi)
+    neg = max_at(max(k_star - tol, k_low)) < 0
+    pos = max_at(min(k_star + tol, k_high)) > 0
+    evals += 2
+
+    calls = Counter()
+    for name in ("_octant_sphere_grid", "unreduced_reaction"):
+        def counted(*args, _name=name, _f=getattr(certifier, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(certifier, name, counted)
+    res = threshold_scan(k_low, k_high, tol_k=tol, **kw)
+    assert (res.k_star, res.bracket, res.negative_below, res.positive_above,
+            res.evaluations) == (k_star, (lo, hi), neg, pos, evals)
+    # one draw per scan, one cross-check per evaluation
+    assert calls == {"_octant_sphere_grid": 1, "unreduced_reaction": evals}
 
 
 def test_threshold_scan_grid_refinement_stability():

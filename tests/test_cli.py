@@ -182,6 +182,15 @@ def test_cmd_scan(tmp_path):
     assert blob["negativeBelow"] and blob["positiveAbove"]
 
 
+def test_cmd_scan_confirms_inside_the_bracket(capsys):
+    # k* -+ tol lies outside [0.6, 0.75]; near k = 1/2 the cross-check would fail on rounding
+    rc = main(["scan", "--k-low", "0.6", "--k-high", "0.75", "--grid", "64",
+               "--samples", "1000", "--tol", "0.2"])
+    assert rc == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["negativeBelow"] is True and blob["positiveAbove"] is True
+
+
 def test_cmd_scan_invalid_bracket():
     rc = main(["scan", "--k-low", "0.55", "--k-high", "0.6",
                "--tol", "1e-2", "--grid", "64", "--samples", "5000"])
@@ -423,7 +432,7 @@ def test_bad_flow_config_values_are_config_errors(tmp_path, bad):
 
 
 def test_cmd_scan_nonpositive_tolerance_is_config_error():
-    for tol in ("0", "-0.001"):
+    for tol in ("0", "-0.001", "1e-20"):
         assert main(["scan", "--k-low", "0.66", "--k-high", "0.75", "--tol", tol,
                      "--grid", "64", "--samples", "1000"]) == 2
     assert main(["scan", "--k-low", "0.75", "--k-high", "0.66", "--grid", "64",
