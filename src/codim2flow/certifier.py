@@ -228,11 +228,15 @@ def threshold_scan(k_low: float, k_high: float, tol_k: float = 1e-3,
     _check_k(k_high)
     samples = _sphere_samples(grid, random_samples, seed)
 
+    memo = {}
+
     def max_at(k):
-        return float(np.max(_checked_reaction(samples, k, gamma_for_k(k))[0]))
+        # a confirmation clamped to a bracket end reuses that end's maximum
+        if k not in memo:
+            memo[k] = float(np.max(_checked_reaction(samples, k, gamma_for_k(k))[0]))
+        return memo[k]
 
     lo_val, hi_val = max_at(k_low), max_at(k_high)
-    evals = 2
     if not (lo_val < 0 and hi_val > 0):
         raise BracketInvalid(
             f"bracket does not straddle the sign change: "
@@ -240,7 +244,6 @@ def threshold_scan(k_low: float, k_high: float, tol_k: float = 1e-3,
     lo, hi = float(k_low), float(k_high)
     while hi - lo > tol_k:
         mid = 0.5 * (lo + hi)
-        evals += 1
         if max_at(mid) < 0:
             lo = mid
         else:
@@ -248,10 +251,9 @@ def threshold_scan(k_low: float, k_high: float, tol_k: float = 1e-3,
     k_star = 0.5 * (lo + hi)
     neg = max_at(max(k_star - tol_k, k_low)) < 0
     pos = max_at(min(k_star + tol_k, k_high)) > 0
-    evals += 2
     return ThresholdScanResult(k_star=k_star, tol_k=tol_k, bracket=(lo, hi),
                                negative_below=neg, positive_above=pos,
-                               evaluations=evals)
+                               evaluations=len(memo))
 
 
 def epsilon_z_scan(gamma: float, pinch_fraction: float, grid: int = 200,

@@ -85,7 +85,7 @@ class FlowConfig:
             setattr(self, name, int(getattr(self, name)))
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        for name in ("stop_factor", "epsilon_z"):
+        for name in ("stop_a2", "stop_factor", "epsilon_z"):
             if getattr(self, name) is not None and not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.cfl <= 0.5:

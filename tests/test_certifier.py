@@ -221,6 +221,20 @@ def test_threshold_scan_matches_per_k_certificates(monkeypatch):
     assert calls == {"_octant_sphere_grid": 1, "unreduced_reaction": evals}
 
 
+def test_threshold_scan_evaluates_each_k_once(monkeypatch):
+    # a tolerance wider than the bracket clamps both confirmations to its ends
+    ks = []
+
+    def counted(samples, k, gamma, _f=certifier._checked_reaction):
+        ks.append(k)
+        return _f(samples, k, gamma)
+
+    monkeypatch.setattr(certifier, "_checked_reaction", counted)
+    res = threshold_scan(0.6, 0.75, tol_k=0.2, grid=64, random_samples=1000)
+    assert res.negative_below and res.positive_above
+    assert (res.evaluations, ks) == (2, [0.6, 0.75])
+
+
 def test_threshold_scan_grid_refinement_stability():
     res1 = threshold_scan(0.69, 0.72, tol_k=1e-3, grid=64, random_samples=20_000, seed=5)
     res2 = threshold_scan(0.69, 0.72, tol_k=1e-3, grid=128, random_samples=20_000, seed=5)

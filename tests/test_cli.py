@@ -62,13 +62,19 @@ def test_identity_sweep_detects_injected_sign_flip(monkeypatch):
     assert "simons_closed_vs_tensor" in failed
 
 
-def test_identity_report_independent_of_chunk_size(monkeypatch):
-    # 5003 rows are 714 chunks of 7 and a short last one, or one chunk
-    reports = []
-    for chunk in (7, 5003):
-        monkeypatch.setattr(identities, "_CHUNK", chunk)
-        reports.append(json.dumps(identity_report(seed=3, count=5003)))
-    assert reports[0] == reports[1]
+def test_identity_report_is_fixed_by_its_seed():
+    same = [json.dumps(identity_report(seed=3, count=5003)) for _ in range(2)]
+    assert same[0] == same[1]
+    assert json.dumps(identity_report(seed=4, count=5003)) != same[0]
+
+
+def test_identity_report_slices_extend_the_sweep(monkeypatch):
+    # slice j draws from its own stream, so count 140 sweeps count 70's ten slices and ten more
+    monkeypatch.setattr(identities, "_CHUNK", 7)
+    short, long = ({p["property"]: p["worst"] for p in identity_report(seed=3, count=n)["properties"]}
+                   for n in (70, 140))
+    assert short.keys() == long.keys()
+    assert all(long[name] >= short[name] for name in short), (short, long)
 
 
 def test_nan_in_last_chunk_fails_the_sweep(monkeypatch):
@@ -96,14 +102,16 @@ def test_worst_keeps_first_tie_and_any_nan():
 
 
 def test_identity_sweep_memory_is_bounded():
-    # the drawn states peak at 96 B a row; the chunked evaluation adds a fixed amount
-    tracemalloc.start()
-    try:
-        identity_report(seed=0, count=300_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 80e6, f"traced peak {peak / 1e6:.1f} MB"
+    # each slice draws its own states, so the peak does not grow with the count
+    peaks = []
+    for count in (1 << 17, 10 ** 6):
+        tracemalloc.start()
+        try:
+            identity_report(seed=0, count=count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 5e6, f"traced peaks {peaks[0] / 1e6:.1f} and {peaks[1] / 1e6:.1f} MB"
 
 
 def test_cmd_identities_exit_codes(tmp_path, capsys, monkeypatch):
@@ -425,7 +433,9 @@ def test_bad_off4_topology_is_config_error(tmp_path, verts, faces):
                                  {"epsilon_z": "NaN", "max_steps": 3},
                                  {"k": "NaN", "max_steps": 3},
                                  {"max_steps": "Infinity"},
-                                 {"epsilon_z": -1.0, "max_steps": 3}])
+                                 {"epsilon_z": -1.0, "max_steps": 3},
+                                 # a non-positive stop_a2 would end the run at step 1 as a blow-up
+                                 {"stop_a2": -1}, {"stop_a2": 0}])
 def test_bad_flow_config_values_are_config_errors(tmp_path, bad):
     cfg = tiny_scenario(tmp_path, **bad)
     assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 2
