@@ -30,27 +30,32 @@ def _icosahedron():
 
 
 def unit_sphere_mesh(subdivisions: int = 4):
-    """Subdivided icosahedron projected to the unit 2-sphere, as (verts, faces)."""
+    """Subdivided icosahedron projected to the unit 2-sphere, as (verts, faces).
+
+    Each level splits every face (a, b, c) into [a, ab, ca], [b, bc, ab],
+    [c, ca, bc] and [ab, bc, ca].  Midpoints are numbered in the order their
+    edges first occur (face order; edges ab, bc, ca within a face).
+    """
     verts, faces = _icosahedron()
-    verts = list(map(np.asarray, verts))
     for _ in range(subdivisions):
-        cache = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = verts[i] + verts[j]
-                m /= np.linalg.norm(m)
-                verts.append(m)
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        out = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            out += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        faces = np.array(out, dtype=np.int64)
-    return np.array(verts), faces
+        n = verts.shape[0]
+        ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        key = ends.min(axis=1) * n + ends.max(axis=1)
+        order = np.argsort(key, kind="stable")
+        new_edge = np.r_[True, key[order][1:] != key[order][:-1]]
+        # a stable sort puts each edge's first occurrence at the head of its run
+        first = order[new_edge]
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        mid = np.empty(key.size, dtype=np.int64)
+        mid[order] = n + rank[np.cumsum(new_edge) - 1]
+        m = np.empty((first.size, 3))
+        m[rank] = verts[ends[first, 0]] + verts[ends[first, 1]]
+        # the row norm rounds as np.linalg.norm of one row does
+        verts = np.vstack([verts, m / np.sqrt(np.vecdot(m, m))[:, None]])
+        (a, b, c), (ab, bc, ca) = faces.T, mid.reshape(-1, 3).T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return verts, faces
 
 
 def icosphere(r: float = 1.0, subdivisions: int = 4) -> SurfaceMesh:
@@ -93,13 +98,9 @@ def product_torus(r1: float, r2: float, n1: int = 48, n2: int = 48) -> SurfaceMe
     tg, pg = np.meshgrid(th, ph, indexing="ij")
     verts = np.stack([r1 * np.cos(tg), r1 * np.sin(tg),
                       r2 * np.cos(pg), r2 * np.sin(pg)], axis=2).reshape(-1, 4)
-
-    def vid(i, j):
-        return (i % n1) * n2 + (j % n2)
-
-    faces = []
-    for i in range(n1):
-        for j in range(n2):
-            faces.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
-            faces.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return SurfaceMesh(verts, np.array(faces, dtype=np.int64))
+    row, col = np.arange(n1) * n2, np.arange(n2)
+    i, j = np.meshgrid(row, col, indexing="ij")
+    i1, j1 = np.meshgrid(np.roll(row, -1), np.roll(col, -1), indexing="ij")
+    # two triangles per grid cell, i-major like the vertex order
+    faces = np.stack([i + j, i1 + j, i1 + j1, i + j, i1 + j1, i + j1], axis=2).reshape(-1, 3)
+    return SurfaceMesh(verts, faces)

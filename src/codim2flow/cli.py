@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -115,9 +115,18 @@ def build_surface(sc: dict):
     if kind not in _SURFACE_KEYS:
         raise ValueError(f"unknown surface {kind!r}; options: {sorted(_SURFACE_KEYS)}")
     kwargs = {k: sc[k] for k in _SURFACE_KEYS[kind] if k in sc}
-    for k in ("n1", "n2", "subdivisions"):
-        if k in kwargs:
-            kwargs[k] = int(kwargs[k])
+    for k, v in kwargs.items():
+        # JSON reads NaN and Infinity as floats; eps4 takes any sign, and
+        # every key besides it and the counts is a radius or a semi-axis
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or isinstance(v, float) and not math.isfinite(v)):
+            raise ValueError(f"surface key {k} must be a finite number, got {v!r}")
+        if k in ("n1", "n2", "subdivisions"):
+            if v != int(v) or v < 0:
+                raise ValueError(f"surface key {k} must be a non-negative integer, got {v!r}")
+            kwargs[k] = int(v)
+        elif k != "eps4" and not v > 0:
+            raise ValueError(f"surface key {k} must be positive, got {v!r}")
     return getattr(builders, kind)(**kwargs)
 
 
@@ -293,6 +302,7 @@ def _cmd_flow(args) -> int:
               + (" [hypothesis violated]" if summary["hypothesis_violated"] else ""))
 
     if args.jobs > 1 and len(names) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: serial runs skip it
         # a forked pool starts all its workers at once: no more than scenarios
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
             futs = [pool.submit(run_scenario, s, o, args.seed) for s, o in zip(names, outs)]

@@ -143,6 +143,12 @@ class SurfaceMesh:
         return math.atan2(1.0, float(np.max(self._tri[2])))
 
 
+def _row_slots(rows, n_rows):
+    """Each entry's place in its row for ascending row numbers, and the widest row."""
+    counts = np.bincount(rows, minlength=n_rows)
+    return np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts), int(counts.max())
+
+
 def _build_topology(n_vertices: int, triangles: np.ndarray) -> dict:
     m = triangles.shape[0]
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= n_vertices:
@@ -152,66 +158,55 @@ def _build_topology(n_vertices: int, triangles: np.ndarray) -> dict:
     if not used.all():
         raise NonManifoldMesh("mesh has isolated vertices")
 
-    src = triangles[:, [0, 1, 2]].ravel()
-    dst = triangles[:, [1, 2, 0]].ravel()
-    directed = set(zip(src.tolist(), dst.tolist()))
-    if len(directed) != 3 * m:
+    # directed edges as sorted codes src * n + dst: a CSR table of each
+    # vertex's 1-ring, since every edge of a closed mesh runs both ways
+    code = np.sort((triangles * n_vertices + triangles[:, [1, 2, 0]]).ravel())
+    if (code[1:] == code[:-1]).any():
         raise NonManifoldMesh("duplicate directed edge: non-manifold or inconsistently oriented")
-    boundary = [(a, b) for (a, b) in directed if (b, a) not in directed]
-    if boundary:
-        raise NonManifoldMesh(f"mesh has {len(boundary)} boundary edges")
+    src, dst = np.divmod(code, n_vertices)
+    rev = dst * n_vertices + src
+    found = code.take(np.searchsorted(code, rev), mode="clip") == rev
+    if not found.all():
+        raise NonManifoldMesh(f"mesh has {int(np.count_nonzero(~found))} boundary edges")
 
-    und = {tuple(sorted(e)) for e in directed}
-    n_edges = len(und)
+    n_edges = int(np.count_nonzero(src <= dst))
     if (n_vertices - n_edges + m) not in (2, 0):
         raise NonManifoldMesh(
             f"Euler characteristic {n_vertices - n_edges + m} not a sphere or torus")
 
-    ring1 = [set() for _ in range(n_vertices)]
-    for a, b in und:
-        ring1[a].add(b)
-        ring1[b].add(a)
-    ring2 = []
-    for v in range(n_vertices):
-        acc = set(ring1[v])
-        for u in ring1[v]:
-            acc.update(ring1[u])
-        acc.discard(v)
-        ring2.append(sorted(acc))
-    counts2 = np.array([len(r) for r in ring2])
+    # ring rows padded with n; the extra row n is all padding
+    slot, width = _row_slots(src, n_vertices)
+    padded = np.full((n_vertices + 1, width), n_vertices)
+    padded[src, slot] = dst
+    ring1 = padded[:-1]
+    # 2-ring: the 1-ring and its members' 1-rings, less the vertex itself;
+    # repeats are blanked between two sorts (np.unique would import numpy.ma)
+    ring2 = np.concatenate([ring1, padded[ring1].reshape(n_vertices, -1)], axis=1)
+    ring2[ring2 == np.arange(n_vertices)[:, None]] = n_vertices
+    ring2.sort(axis=1)
+    ring2[:, 1:][ring2[:, 1:] == ring2[:, :-1]] = n_vertices
+    ring2.sort(axis=1)
+    counts2 = np.count_nonzero(ring2 < n_vertices, axis=1)
     if (counts2 < MIN_RING2).any():
         bad = int(np.argmin(counts2))
         raise DegenerateNeighborhood(
             f"vertex {bad} has only {counts2[bad]} 2-ring neighbors (< {MIN_RING2})")
-
-    def pad(rings):
-        k = max(len(r) for r in rings)
-        idx = np.zeros((n_vertices, k), dtype=np.int64)
-        mask = np.zeros((n_vertices, k), dtype=bool)
-        for v, r in enumerate(rings):
-            idx[v, :len(r)] = r
-            mask[v, :len(r)] = True
-        return idx, mask
-
-    ring1_sorted = [sorted(r) for r in ring1]
-    idx1, mask1 = pad(ring1_sorted)
-    idx2, mask2 = pad(ring2)
+    ring2 = ring2[:, :counts2.max()]
     # the cotan stiffness as an ordered gather: column v lists v's edge
     # terms in the order a scatter over the corner-opposite edge ends (all
     # j ends, then all k ends) adds them, padded with v itself and weight 0
     j, k = triangles[:, [1, 2, 0]].ravel(), triangles[:, [2, 0, 1]].ravel()
     ends = np.concatenate([j, k])
     order = np.argsort(ends, kind="stable")
-    counts = np.bincount(ends, minlength=n_vertices)
-    slot = np.arange(6 * m) - np.repeat(np.cumsum(counts) - counts, counts)
-    stiff_nbr = np.tile(np.arange(n_vertices), (int(counts.max()), 1))
+    slot, width = _row_slots(ends[order], n_vertices)
+    stiff_nbr = np.tile(np.arange(n_vertices), (width, 1))
     stiff_nbr[slot, ends[order]] = np.concatenate([k, j])[order]
     stiff_term = np.full(stiff_nbr.shape, 6 * m, dtype=np.int32)
     stiff_term[slot, ends[order]] = order
     return {
         "n_edges": n_edges,
-        "ring1_idx": idx1, "ring1_mask": mask1,
-        "ring2_idx": idx2, "ring2_mask": mask2,
+        "ring1_idx": np.where(ring1 < n_vertices, ring1, 0), "ring1_mask": ring1 < n_vertices,
+        "ring2_idx": np.where(ring2 < n_vertices, ring2, 0), "ring2_mask": ring2 < n_vertices,
         "stiff_nbr": stiff_nbr, "stiff_term": stiff_term,
     }
 

@@ -1,7 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,6 +446,40 @@ def test_bad_flow_config_values_are_config_errors(tmp_path, bad):
     assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 2
 
 
+_SURFACES = {
+    "icosphere": {"r": 1.0, "subdivisions": 2},
+    "ellipsoid_plus_bump": {"a1": 1.2, "a2": 1.0, "a3": 0.9, "eps4": 0.05, "subdivisions": 2},
+    "product_torus": {"r1": 1.0, "r2": 1.0, "n1": 8, "n2": 8},
+}
+
+
+@pytest.mark.parametrize("surface, key, value", [
+    ("icosphere", "r", "-1"), ("icosphere", "r", "0"), ("icosphere", "r", "NaN"),
+    ("icosphere", "r", '"abc"'), ("icosphere", "subdivisions", "2.7"),
+    ("icosphere", "subdivisions", "true"), ("icosphere", "subdivisions", "-1"),
+    ("ellipsoid_plus_bump", "a1", "Infinity"), ("ellipsoid_plus_bump", "a3", "0"),
+    ("ellipsoid_plus_bump", "eps4", "NaN"), ("product_torus", "n1", "8.9"),
+    ("product_torus", "r2", "0"),
+])
+def test_bad_surface_keys_are_config_errors(tmp_path, capsys, surface, key, value):
+    keys = dict(_SURFACES[surface], **{key: value})
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join([f"surface = {surface}", "max_steps = 2",
+                              *(f"{k} = {v}" for k, v in keys.items())]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--out", str(tmp_path / "runs"), "flow", str(cfg)])
+    assert rc == 2
+    assert f"surface key {key} must be" in capsys.readouterr().err
+    assert caught == []
+
+
+def test_integral_float_counts_build_the_integer_surface():
+    sc = {"surface": "icosphere", "r": 1.0, "subdivisions": 2.0}
+    assert np.array_equal(build_surface(sc).triangles,
+                          build_surface(dict(sc, subdivisions=2)).triangles)
+
+
 def test_cmd_scan_nonpositive_tolerance_is_config_error():
     for tol in ("0", "-0.001", "1e-20"):
         assert main(["scan", "--k-low", "0.66", "--k-high", "0.75", "--tol", tol,
@@ -494,7 +533,7 @@ def test_cmd_flow_jobs_capped_at_scenario_count(tmp_path, monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SyncPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SyncPool)
     cfg_a = tiny_scenario(tmp_path)
     cfg_b = tmp_path / "tiny_b.cfg"
     cfg_b.write_text(cfg_a.read_text().replace("r = 1.0", "r = 0.9"))
@@ -505,20 +544,33 @@ def test_cmd_flow_jobs_capped_at_scenario_count(tmp_path, monkeypatch):
     assert (tmp_path / "runs" / "tiny_b" / "trace.csv").exists()
 
 
-def test_console_script_entry_point(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
+def _child_env():
+    """Environment for a child Python that imports the same checkout as this suite.
 
-    import codim2flow
-    # the child imports the same checkout as this suite, also when only
-    # pytest's own pythonpath setting put it on sys.path
-    src = str(Path(codim2flow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    Also when only pytest's own pythonpath setting put it on sys.path.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_console_script_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "codim2flow.cli",
                            "identities", "--count", "0"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_setup_imports_neither_process_pools_nor_numpy_ma():
+    # each costs a fresh process over 10 ms of imports that set-up never uses
+    code = ("import sys\n"
+            "import codim2flow.cli as cli\n"
+            "from codim2flow.mesh import recover_geometry\n"
+            "for name in cli.SCENARIO_PRESETS:\n"
+            "    recover_geometry(cli.build_surface(cli.load_scenario(name)))\n"
+            "print(sorted({'concurrent.futures.process', 'numpy.ma'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from codim2flow.builders import ellipsoid_plus_bump, icosphere, product_torus
+from codim2flow.builders import _icosahedron, ellipsoid_plus_bump, icosphere, product_torus
 from codim2flow.curvature import field_scalars, special_frame_fields, tensor_z_batch
 from codim2flow.errors import DegenerateNeighborhood, NonManifoldMesh
 from codim2flow.mesh import (
     SurfaceMesh,
     _jet_fit,
+    MIN_RING2,
+    _build_topology,
     read_off4,
     recover_geometry,
     shape_gradient_norm2,
@@ -67,6 +69,181 @@ def test_isolated_vertex_rejected():
     verts = np.vstack([m.vertices, [[5.0, 5.0, 5.0, 5.0]]])
     with pytest.raises(NonManifoldMesh):
         SurfaceMesh(verts, m.triangles)
+
+
+# reference copies of the loop builders and topology that the array code
+# replaced; the array code must reproduce them bit for bit
+
+
+def _loop_unit_sphere_mesh(subdivisions):
+    verts, faces = _icosahedron()
+    verts = list(map(np.asarray, verts))
+    for _ in range(subdivisions):
+        cache = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = verts[i] + verts[j]
+                m /= np.linalg.norm(m)
+                verts.append(m)
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        out = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            out += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+        faces = np.array(out, dtype=np.int64)
+    return np.array(verts), faces
+
+
+def _loop_torus_faces(n1, n2):
+    def vid(i, j):
+        return (i % n1) * n2 + (j % n2)
+
+    faces = []
+    for i in range(n1):
+        for j in range(n2):
+            faces.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
+            faces.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
+    return np.array(faces, dtype=np.int64)
+
+
+def _loop_topology(n_vertices, triangles):
+    m = triangles.shape[0]
+    if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= n_vertices:
+        raise NonManifoldMesh("triangle index out of range")
+    used = np.zeros(n_vertices, dtype=bool)
+    used[triangles.ravel()] = True
+    if not used.all():
+        raise NonManifoldMesh("mesh has isolated vertices")
+    src = triangles[:, [0, 1, 2]].ravel()
+    dst = triangles[:, [1, 2, 0]].ravel()
+    directed = set(zip(src.tolist(), dst.tolist()))
+    if len(directed) != 3 * m:
+        raise NonManifoldMesh("duplicate directed edge: non-manifold or inconsistently oriented")
+    boundary = [(a, b) for (a, b) in directed if (b, a) not in directed]
+    if boundary:
+        raise NonManifoldMesh(f"mesh has {len(boundary)} boundary edges")
+    und = {tuple(sorted(e)) for e in directed}
+    n_edges = len(und)
+    if (n_vertices - n_edges + m) not in (2, 0):
+        raise NonManifoldMesh(
+            f"Euler characteristic {n_vertices - n_edges + m} not a sphere or torus")
+    ring1 = [set() for _ in range(n_vertices)]
+    for a, b in und:
+        ring1[a].add(b)
+        ring1[b].add(a)
+    ring2 = []
+    for v in range(n_vertices):
+        acc = set(ring1[v])
+        for u in ring1[v]:
+            acc.update(ring1[u])
+        acc.discard(v)
+        ring2.append(sorted(acc))
+    counts2 = np.array([len(r) for r in ring2])
+    if (counts2 < MIN_RING2).any():
+        bad = int(np.argmin(counts2))
+        raise DegenerateNeighborhood(
+            f"vertex {bad} has only {counts2[bad]} 2-ring neighbors (< {MIN_RING2})")
+
+    def pad(rings):
+        k = max(len(r) for r in rings)
+        idx = np.zeros((n_vertices, k), dtype=np.int64)
+        mask = np.zeros((n_vertices, k), dtype=bool)
+        for v, r in enumerate(rings):
+            idx[v, :len(r)] = r
+            mask[v, :len(r)] = True
+        return idx, mask
+
+    idx1, mask1 = pad([sorted(r) for r in ring1])
+    idx2, mask2 = pad(ring2)
+    j, k = triangles[:, [1, 2, 0]].ravel(), triangles[:, [2, 0, 1]].ravel()
+    ends = np.concatenate([j, k])
+    order = np.argsort(ends, kind="stable")
+    counts = np.bincount(ends, minlength=n_vertices)
+    slot = np.arange(6 * m) - np.repeat(np.cumsum(counts) - counts, counts)
+    stiff_nbr = np.tile(np.arange(n_vertices), (int(counts.max()), 1))
+    stiff_nbr[slot, ends[order]] = np.concatenate([k, j])[order]
+    stiff_term = np.full(stiff_nbr.shape, 6 * m, dtype=np.int32)
+    stiff_term[slot, ends[order]] = order
+    return {"n_edges": n_edges, "ring1_idx": idx1, "ring1_mask": mask1,
+            "ring2_idx": idx2, "ring2_mask": mask2,
+            "stiff_nbr": stiff_nbr, "stiff_term": stiff_term}
+
+
+def _assert_bitwise_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _assert_topology_is_the_loop_topology(m):
+    ref = _loop_topology(m.n_vertices, m.triangles)
+    assert set(m._topo) == set(ref)
+    assert type(m.n_edges) is int and m.n_edges == ref["n_edges"]
+    for key in set(ref) - {"n_edges"}:
+        _assert_bitwise_equal(m._topo[key], ref[key])
+
+
+@pytest.mark.parametrize("subdivisions", range(5))
+def test_icosphere_is_the_loop_icosphere(subdivisions):
+    m = icosphere(1.0, subdivisions)
+    verts, faces = _loop_unit_sphere_mesh(subdivisions)
+    v4 = np.zeros((verts.shape[0], 4))
+    v4[:, :3] = verts
+    _assert_bitwise_equal(m.vertices, v4)
+    _assert_bitwise_equal(m.triangles, faces)
+    _assert_topology_is_the_loop_topology(m)
+
+
+def test_pinched_shape_is_the_loop_pinched_shape():
+    m = ellipsoid_plus_bump(1.2, 1.0, 0.9, 0.05, 3)
+    verts, faces = _loop_unit_sphere_mesh(3)
+    _assert_bitwise_equal(m.vertices[:, :3], verts * [1.2, 1.0, 0.9])
+    _assert_bitwise_equal(m.triangles, faces)
+    _assert_topology_is_the_loop_topology(m)
+
+
+@pytest.mark.parametrize("n1, n2", [(48, 48), (16, 12), (8, 8)])
+def test_torus_is_the_loop_torus(n1, n2):
+    m = product_torus(1.0, 0.7, n1, n2)
+    _assert_bitwise_equal(m.triangles, _loop_torus_faces(n1, n2))
+    _assert_topology_is_the_loop_topology(m)
+
+
+def _bad_meshes():
+    ico = icosphere(1.0, 1)
+    n, faces = ico.n_vertices, ico.triangles
+    tetra = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
+    return {
+        "out_of_range": (3, np.array([[0, 1, 5]]), NonManifoldMesh,
+                         "triangle index out of range"),
+        "isolated_vertex": (n + 1, faces, NonManifoldMesh, "mesh has isolated vertices"),
+        "duplicate_directed_edge": (n, np.vstack([faces, faces[:1]]), NonManifoldMesh,
+                                    "duplicate directed edge: non-manifold or "
+                                    "inconsistently oriented"),
+        # faces 0 and 3 share an edge: without them four edges lose their twin
+        "boundary_edges": (n, np.delete(faces, [0, 3], axis=0), NonManifoldMesh,
+                           "mesh has 4 boundary edges"),
+        "euler_characteristic": (2 * n, np.vstack([faces, faces + n]), NonManifoldMesh,
+                                 "Euler characteristic 4 not a sphere or torus"),
+        # a repeated corner makes the edge (0, 0), one edge with one directed twin
+        "repeated_corner": (2, np.array([[0, 0, 1]]), NonManifoldMesh,
+                            "Euler characteristic 1 not a sphere or torus"),
+        "small_2_ring": (4, tetra, DegenerateNeighborhood,
+                         "vertex 0 has only 3 2-ring neighbors (< 6)"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_meshes()))
+def test_topology_rejections_keep_their_messages(case):
+    n, faces, exc, msg = _bad_meshes()[case]
+    faces = np.asarray(faces, dtype=np.int64)
+    for build in (_build_topology, _loop_topology):
+        with pytest.raises(exc) as info:
+            build(n, faces)
+        assert str(info.value) == msg
 
 
 def test_frame_orthonormality(sphere4):
