@@ -67,10 +67,10 @@ def icosphere(r: float = 1.0, subdivisions: int = 4) -> SurfaceMesh:
 
 
 def ellipsoid_plus_bump(a1: float, a2: float, a3: float, eps4: float,
-                        subdivisions: int = 4, harmonic: tuple = (0, 1)) -> SurfaceMesh:
+                        subdivisions: int = 4) -> SurfaceMesh:
     """Triaxial ellipsoid with a quadratic fourth-coordinate bump.
 
-    The bump w = eps4 * X_i X_j / r0^2 (r0 the mean semi-axis) bends the
+    The bump w = eps4 * X_0 X_1 / r0^2 (r0 the mean semi-axis) bends the
     surface out of R^3 x {0}, so the normal bundle genuinely has rank two
     and the normal curvature is nonzero.
     """
@@ -80,8 +80,7 @@ def ellipsoid_plus_bump(a1: float, a2: float, a3: float, eps4: float,
     v4[:, 1] = a2 * verts[:, 1]
     v4[:, 2] = a3 * verts[:, 2]
     r0 = (a1 * a2 * a3) ** (1.0 / 3.0)
-    i, j = harmonic
-    v4[:, 3] = eps4 * v4[:, i] * v4[:, j] / r0 ** 2
+    v4[:, 3] = eps4 * v4[:, 0] * v4[:, 1] / r0 ** 2
     return SurfaceMesh(v4, faces)
 
 

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 assertion failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -34,7 +33,7 @@ from .flow import (
     type_i_rescale,
 )
 from .identities import identity_report
-from .mesh import read_off4, write_off4
+from .mesh import read_off4, write_off4, write_table
 
 SCENARIO_PRESETS = {
     # exact-solution oracle: radius tracks sqrt(1 - 4t)
@@ -134,13 +133,17 @@ def flow_config(sc: dict) -> FlowConfig:
     return FlowConfig(**{k: sc[k] for k in _FLOW_KEYS if k in sc and sc[k] is not None})
 
 
+def _write_json(path, obj) -> str:
+    """Write obj as JSON indented by 1, under a made parent directory; returns the text."""
+    text = json.dumps(obj, indent=1)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, newline="\n")
+    return text
+
+
 def _write_vertex_csv(path, header, cols) -> None:
     """One row per vertex: its index, then each column's value."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["vertex", *header])
-        for i in range(len(cols[0])):
-            wr.writerow([i] + [repr(float(col[i])) for col in cols])
+    write_table(path, [["vertex", *header], *zip(range(len(cols[0])), *(c.tolist() for c in cols))])
 
 
 def _write_fields_csv(path, mesh, cfg: FlowConfig) -> None:
@@ -152,7 +155,6 @@ def _write_fields_csv(path, mesh, cfg: FlowConfig) -> None:
 
 def _write_rescaled(rescaled, out: Path) -> list:
     """rescaled_NNN.csv per rescaled snapshot under out; returns the summary rows."""
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, rs in enumerate(rescaled):
         _write_vertex_csv(out / f"rescaled_{i:03d}.csv", list(_RESCALED_COLUMNS),
@@ -178,39 +180,30 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
     trace.to_csv(out / "trace.csv")
 
     snap_dir = out / "snapshots"
-    snap_dir.mkdir(exist_ok=True)
     for i, snap in enumerate(result.snapshots):
         write_off4(snap.mesh, snap_dir / f"snap_{i:03d}.off4")
         _write_fields_csv(snap_dir / f"snap_{i:03d}_fields.csv", snap.mesh, cfg)
-    with open(snap_dir / "index.json", "w") as fh:
-        json.dump([{"index": i, "step": s.step, "t": s.t, "maxA2": s.max_a2}
-                   for i, s in enumerate(result.snapshots)], fh, indent=1)
+    _write_json(snap_dir / "index.json", [{"index": i, "step": s.step, "t": s.t, "maxA2": s.max_a2}
+                                          for i, s in enumerate(result.snapshots)])
 
-    plot_dir = out / "plot"
-    plot_dir.mkdir(exist_ok=True)
-    t = trace.column("t")
+    t = trace.column("t").tolist()
     for col in TRACE_COLUMNS:
-        if col == "t":
-            continue
-        with open(plot_dir / f"{col}.dat", "w") as fh:
-            for ti, vi in zip(t, trace.column(col)):
-                fh.write(f"{float(ti)!r} {float(vi)!r}\n")
+        if col != "t":
+            write_table(out / "plot" / f"{col}.dat", zip(t, trace.column(col).tolist()), sep=" ")
 
     try:
         rescaled = type_i_rescale(result.snapshots, result.stop_a2, cfg.gamma)
         rescale_summary = _write_rescaled(rescaled, out / "rescaled")
     except Codim2FlowError as exc:
         rescale_summary = {"skipped": str(exc)}
-    with open(out / "rescale_summary.json", "w") as fh:
-        json.dump(rescale_summary, fh, indent=1)
+    _write_json(out / "rescale_summary.json", rescale_summary)
 
     try:
         c0, delta = decay_exponent_fit(trace)
         decay = {"c0": c0, "delta": delta}
     except Codim2FlowError as exc:
         decay = {"skipped": str(exc)}
-    with open(out / "decay_fit.json", "w") as fh:
-        json.dump(decay, fh, indent=1)
+    _write_json(out / "decay_fit.json", decay)
 
     summary = {
         "scenario": sc,
@@ -228,8 +221,7 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
         "rejections": result.rejections,
         "max_h_gap": result.max_h_gap,
     }
-    with open(out / "run.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
+    _write_json(out / "run.json", summary)
     return summary
 
 
@@ -239,12 +231,10 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
 
 def _cmd_identities(args) -> int:
     report = identity_report(args.seed, args.count)
-    blob = json.dumps(report, indent=1)
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "identities.json").write_text(blob)
+        _write_json(Path(args.out) / "identities.json", report)
     else:
-        print(blob)
+        print(json.dumps(report, indent=1))
     if not report["pass"]:
         failed = [p["property"] for p in report["properties"] if not p["pass"]]
         print(f"FAILED properties: {', '.join(failed)}", file=sys.stderr)
@@ -252,35 +242,25 @@ def _cmd_identities(args) -> int:
     return 0
 
 
-def _write_certificate(report, out_dir):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "certificate.json").write_text(json.dumps(report.as_dict(), indent=1))
-    with open(out / "worst_samples.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["a", "b", "c", "value"])
-        for a, b, c, vv in report.worst:
-            wr.writerow([repr(a), repr(b), repr(c), repr(vv)])
-
-
 def _cmd_certify(args) -> int:
     report = certify_negativity(args.k, delta=args.delta, grid=args.grid,
                                 random_samples=args.samples, seed=args.seed,
                                 gamma_override=args.gamma_override)
     if args.out:
-        _write_certificate(report, args.out)
-    print(json.dumps(report.as_dict(), indent=1))
+        write_table(Path(args.out) / "worst_samples.csv", [["a", "b", "c", "value"], *report.worst])
+        print(_write_json(Path(args.out) / "certificate.json", report.as_dict()))
+    else:
+        print(json.dumps(report.as_dict(), indent=1))
     return 0
 
 
 def _cmd_scan(args) -> int:
     res = threshold_scan(args.k_low, args.k_high, tol_k=args.tol, grid=args.grid,
                          random_samples=args.samples, seed=args.seed)
-    blob = json.dumps(res.as_dict(), indent=1)
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "scan.json").write_text(blob)
-    print(blob)
+        print(_write_json(Path(args.out) / "scan.json", res.as_dict()))
+    else:
+        print(json.dumps(res.as_dict(), indent=1))
     return 0
 
 
@@ -319,8 +299,16 @@ def _cmd_rescale(args) -> int:
     try:
         index = json.loads((run_dir / "snapshots" / "index.json").read_text())
         summary = json.loads((run_dir / "run.json").read_text())
-        cfg = flow_config(summary["scenario"])
-        stop_a2 = summary["stop_a2"]
+        cfg, stop_a2 = flow_config(summary["scenario"]), summary["stop_a2"]
+        for key, v in [("stop_a2", stop_a2),
+                       *((k, e[k]) for e in index for k in ("index", "step", "t", "maxA2"))]:
+            what = "integer" if key in ("index", "step") else "number"
+            # a NaN or non-positive stop_a2 would switch off type_i_rescale's blow-up guard;
+            # the float bound also refuses an integer too large for a float
+            if (isinstance(v, bool) or not isinstance(v, int if what == "integer" else (int, float))
+                    or not abs(v) <= sys.float_info.max or key == "stop_a2" and not v > 0):
+                raise ValueError(f"malformed flow run {run_dir}: {key} must be a finite {what}"
+                                 f"{' > 0' if key == 'stop_a2' else ''}, got {v!r}")
         snaps = [Snapshot(e["step"], e["t"], e["maxA2"],
                           read_off4(run_dir / "snapshots" / f"snap_{e['index']:03d}.off4"))
                  for e in index]

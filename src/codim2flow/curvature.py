@@ -142,7 +142,7 @@ def lift(s: SpecialFrameState) -> ShapeTensor:
     return ShapeTensor(comp[0])
 
 
-def special_frame_fields(comp: np.ndarray, mean_curv: np.ndarray, tol_h: float = TOL_H):
+def special_frame_fields(comp: np.ndarray, mean_curv: np.ndarray):
     """Vectorized special-frame reduction for per-vertex mesh data.
 
     comp has shape (n, 2, 2, alpha) and mean_curv shape (n, 2).  Returns
@@ -151,13 +151,13 @@ def special_frame_fields(comp: np.ndarray, mean_curv: np.ndarray, tol_h: float =
     eigenvalue first (a >= 0), with the second tangent vector flipped so
     c >= 0.  Where the first shape operator is umbilic to tolerance the
     tangent frame diagonalizes the second one instead: c = 0 and b >= 0.
-    Entries with |H| <= tol_h come back as NaN in (a, b, c) so callers can
+    Entries with |H| <= TOL_H come back as NaN in (a, b, c) so callers can
     flag them rather than abort a whole mesh.
     """
     comp = np.asarray(comp, dtype=float)
     mean_curv = np.asarray(mean_curv, dtype=float)
     h = np.hypot(mean_curv[:, 0], mean_curv[:, 1])
-    good = h > tol_h
+    good = h > TOL_H
     e1 = np.zeros_like(mean_curv)
     e1[good] = mean_curv[good] / h[good, None]
 
@@ -205,13 +205,13 @@ def field_scalars(h, a, b, c) -> dict:
     }
 
 
-def pinching_fields(h, a, b, c, gamma, k=0.0, eps=0.0, sigma=0.0, tol_h=TOL_H) -> dict:
+def pinching_fields(h, a, b, c, gamma, k=0.0, eps=0.0, sigma=0.0) -> dict:
     """field_scalars plus the pinching data of the flow monitors.
 
     Adds "h" = |H|, "kperp_abs" = |K-perp|, the pinching numerator
     "pinch_num" = |A-circ|^2 + 2 gamma |K-perp|, "q" = Q = |A|^2 + 2 gamma
     |K-perp| - k |H|^2 + eps and "fsigma" = pinch_num / |H|^(2(1-sigma)),
-    NaN where |H| <= tol_h.  k, eps and sigma only enter q and fsigma.
+    NaN where |H| <= TOL_H.  k, eps and sigma only enter q and fsigma.
     """
     out = field_scalars(h, a, b, c)
     kperp_abs = np.abs(out["normal_kperp"])
@@ -220,7 +220,7 @@ def pinching_fields(h, a, b, c, gamma, k=0.0, eps=0.0, sigma=0.0, tol_h=TOL_H) -
     out["q"] = out["norm_a2"] + 2 * gamma * kperp_abs - k * h * h + eps
     out["pinch_num"] = out["norm_acirc2"] + 2 * gamma * kperp_abs
     with np.errstate(divide="ignore", invalid="ignore"):
-        out["fsigma"] = np.where(h > tol_h, out["pinch_num"] / h ** (2 * (1 - sigma)), np.nan)
+        out["fsigma"] = np.where(h > TOL_H, out["pinch_num"] / h ** (2 * (1 - sigma)), np.nan)
     return out
 
 

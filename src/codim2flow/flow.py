@@ -36,6 +36,7 @@ from .mesh import (
     shape_gradient_norm2,
     stiffness_operator,
     vertex_gradients,
+    write_table,
 )
 
 TRACE_COLUMNS = ["step", "t", "dt", "minH", "maxA2", "maxQ", "maxFsigma", "area",
@@ -82,9 +83,11 @@ class FlowConfig:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{f.name} must be finite, got {v!r}")
         for name, low in (("max_steps", 0), ("output_every", 1), ("poincare_every", 1)):
-            setattr(self, name, int(getattr(self, name)))
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+            v = getattr(self, name)
+            # 3.0 reads as 3; a truncated 2.7 would run as 2 while run.json echoes 2.7
+            if v != int(v) or v < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {v!r}")
+            setattr(self, name, int(v))
         for name in ("stop_a2", "stop_factor", "epsilon_z"):
             if getattr(self, name) is not None and not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -143,14 +146,8 @@ class FlowTrace:
         return np.array([getattr(r, name) for r in self.rows], dtype=float)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for r in self.rows:
-                vals = []
-                for col in TRACE_COLUMNS:
-                    v = getattr(r, col)
-                    vals.append(str(v) if isinstance(v, int) else repr(float(v)))
-                fh.write(",".join(vals) + "\n")
+        write_table(path, [TRACE_COLUMNS, *([getattr(r, c) for c in TRACE_COLUMNS]
+                                            for r in self.rows)])
 
 
 def poincare_check(mesh: SurfaceMesh, p: float, eta: float, sigma: float,

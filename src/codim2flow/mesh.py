@@ -16,6 +16,7 @@ dynamics, and their agreement on exact shapes is itself a regression check.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -535,14 +536,20 @@ def shape_gradient_norm2(mesh: SurfaceMesh) -> np.ndarray:
 # I/O
 
 
+def write_table(path, rows, sep: str = ",") -> None:
+    """Write one sep-joined, LF-ended line per row, making the parent directory: a str
+    cell as it is, an integer in decimal, else repr(float(v)), which reads back exactly."""
+    lines = [sep.join([repr(v) if type(v) is float
+                       else str(v) if isinstance(v, (str, int, np.integer)) else repr(float(v))
+                       for v in row]) + "\n" for row in rows]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(lines), newline="\n")
+
+
 def write_off4(mesh: SurfaceMesh, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("OFF4\n")
-        fh.write(f"{mesh.n_vertices} {mesh.n_triangles} {mesh.n_edges}\n")
-        for row in mesh.vertices:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+    write_table(path, [["OFF4"], [mesh.n_vertices, mesh.n_triangles, mesh.n_edges],
+                       *mesh.vertices.tolist(), *([3, *t] for t in mesh.triangles.tolist())], sep=" ")
 
 
 def read_off4(path) -> SurfaceMesh:
@@ -563,6 +570,8 @@ def read_off4(path) -> SurfaceMesh:
             tris.append([int(p) for p in parts[1:4]])
     except IndexError:
         raise ValueError(f"truncated OFF4 file: {path}") from None
+    if not np.all(np.isfinite(verts)):
+        raise ValueError(f"non-finite vertex coordinate in OFF4 file: {path}")
     try:
         return SurfaceMesh(verts, np.array(tris))
     except (NonManifoldMesh, DegenerateNeighborhood) as exc:

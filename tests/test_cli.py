@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +22,7 @@ from codim2flow.cli import (
     parse_scenario_text,
     run_scenario,
 )
-from codim2flow.flow import TRACE_COLUMNS
+from codim2flow.flow import TRACE_COLUMNS, FlowConfig, run_flow
 from codim2flow.identities import identity_report
 from codim2flow.mesh import read_off4
 
@@ -357,6 +358,50 @@ def test_cmd_flow_clifford_flags_violation(tmp_path, capsys):
     assert summary["hypothesis_violated"]
 
 
+def _hex(values):
+    """Each value as float.hex: equal lists mean bit-equal floats (any NaN reads 'nan')."""
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_every_artifact_ends_lines_with_lf_and_reads_back_exactly(tmp_path, monkeypatch):
+    runs = []
+
+    def run_and_keep(mesh, cfg):
+        runs.append(run_flow(mesh, cfg))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_flow", run_and_keep)
+    out = tmp_path / "out"
+    run = out / "tiny_sphere"
+    small = ["--grid", "64", "--samples", "2000"]
+    for argv in (["flow", str(tiny_scenario(tmp_path))], ["rescale", "--run", str(run)],
+                 ["certify", "--k", "0.68", *small],
+                 ["scan", "--k-low", "0.66", "--k-high", "0.75", "--tol", "1e-2", *small],
+                 ["identities", "--count", "1000"]):
+        assert main(["--out", str(out), *argv]) == 0, argv
+    written = [p for p in out.rglob("*") if p.is_file()]
+    assert {p.suffix for p in written} == {".csv", ".dat", ".json", ".off4"}
+    assert {"worst_samples.csv", "certificate.json", "scan.json", "identities.json",
+            "rescaled_000.csv", "snap_000_fields.csv"} <= {p.name for p in written}
+    assert [p.name for p in written if b"\r" in p.read_bytes()] == []
+
+    (result,) = runs
+    lines = (run / "trace.csv").read_text().splitlines()
+    assert lines[0].split(",") == TRACE_COLUMNS
+    assert len(lines) == 1 + len(result.trace.rows)
+    for line, row in zip(lines[1:], result.trace.rows):
+        step, *cells = line.split(",")
+        assert step == str(row.step)
+        assert _hex([float(x) for x in cells]) == _hex([getattr(row, c) for c in TRACE_COLUMNS[1:]])
+    for i, snap in enumerate(result.snapshots):
+        off4 = (run / "snapshots" / f"snap_{i:03d}.off4").read_text().splitlines()
+        nv = snap.mesh.n_vertices
+        assert off4[:2] == ["OFF4", f"{nv} {snap.mesh.n_triangles} {snap.mesh.n_edges}"]
+        assert _hex([float(x) for ln in off4[2:2 + nv] for x in ln.split(" ")]) == \
+            _hex(snap.mesh.vertices)
+        assert off4[2 + nv:] == [f"3 {a} {b} {c}" for a, b, c in snap.mesh.triangles.tolist()]
+
+
 def test_cmd_rescale_from_run_dir(tmp_path):
     cfg = tiny_scenario(tmp_path)
     out = tmp_path / "out"
@@ -428,6 +473,48 @@ def test_bad_off4_topology_is_config_error(tmp_path, verts, faces):
     assert main(["rescale", "--run", str(tmp_path)]) == 2
 
 
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("finished")
+    run_scenario(str(tiny_scenario(tmp)), str(tmp / "run"), seed=0)
+    return tmp / "run"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_off4_coordinates_are_config_errors(tmp_path, capsys, finished_run, value):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    off4 = run / "snapshots" / "snap_000.off4"
+    lines = off4.read_text().splitlines()
+    lines[2] = f"{value} 0.1 0.2 0.0"
+    off4.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="non-finite vertex coordinate.*snap_000.off4"):
+        read_off4(off4)
+    assert main(["rescale", "--run", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert "snap_000.off4" in err and "LinAlgError" not in err
+
+
+@pytest.mark.parametrize("file, key, value", [
+    ("run.json", "stop_a2", "abc"), ("run.json", "stop_a2", float("nan")),
+    ("run.json", "stop_a2", float("inf")), ("run.json", "stop_a2", 0.0),
+    ("run.json", "stop_a2", None), ("run.json", "stop_a2", True),
+    ("index.json", "maxA2", "x"), ("index.json", "maxA2", float("nan")),
+    ("index.json", "t", float("-inf")), ("index.json", "step", 1.5),
+    ("index.json", "index", "0"), ("index.json", "index", 0.0),
+    # math.isfinite would raise OverflowError
+    pytest.param("index.json", "step", 10 ** 400, id="index.json-step-10**400"),
+])
+def test_bad_run_values_are_config_errors(tmp_path, capsys, finished_run, file, key, value):
+    # a NaN or non-positive stop_a2 would skip the blow-up guard, a string would raise a TypeError
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    path = run / file if file == "run.json" else run / "snapshots" / file
+    blob = json.loads(path.read_text())
+    (blob[-1] if file == "index.json" else blob)[key] = value
+    path.write_text(json.dumps(blob))
+    assert main(["rescale", "--run", str(run)]) == 2
+    assert f"{key} must be a finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [{"output_every": 0}, {"poincare_every": 0},
                                  {"max_steps": -1}, {"cfl": '"abc"'},
                                  {"p": 1}, {"eta": -1}, {"sigma": 1.5},
@@ -440,10 +527,19 @@ def test_bad_off4_topology_is_config_error(tmp_path, verts, faces):
                                  {"max_steps": "Infinity"},
                                  {"epsilon_z": -1.0, "max_steps": 3},
                                  # a non-positive stop_a2 would end the run at step 1 as a blow-up
-                                 {"stop_a2": -1}, {"stop_a2": 0}])
+                                 {"stop_a2": -1}, {"stop_a2": 0},
+                                 # a truncated count would run 2.7 steps as 2
+                                 {"output_every": 2.5}, {"poincare_every": 1.9},
+                                 {"max_steps": 2.7}])
 def test_bad_flow_config_values_are_config_errors(tmp_path, bad):
     cfg = tiny_scenario(tmp_path, **bad)
     assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 2
+
+
+def test_integral_float_flow_counts_read_as_integers():
+    cfg = FlowConfig(max_steps=3.0, output_every=2.0, poincare_every=1.0)
+    assert (cfg.max_steps, cfg.output_every, cfg.poincare_every) == (3, 2, 1)
+    assert all(type(v) is int for v in (cfg.max_steps, cfg.output_every, cfg.poincare_every))
 
 
 _SURFACES = {

@@ -95,12 +95,12 @@ def test_already_special_frame_passthrough():
 
 
 def test_degenerate_mean_curvature_gives_nan_frame():
-    # where |H| <= tol_h the normal frame is undefined: a, b, c are NaN and
+    # where |H| <= TOL_H the normal frame is undefined: a, b, c are NaN and
     # h stays finite, without touching the other rows of the batch
     comp = np.zeros((3, 2, 2, 2))
     comp[0, :, :, 0] = np.diag([1.0, -1.0])     # minimal point, H = 0
     comp[1, :, :, 0] = np.eye(2)                # round sphere point
-    comp[2, :, :, 1] = 0.5 * TOL_H * np.eye(2)  # |H| = tol_h exactly
+    comp[2, :, :, 1] = 0.5 * TOL_H * np.eye(2)  # |H| = TOL_H exactly
     h, a, b, c = special_frame_fields(comp, comp[:, 0, 0] + comp[:, 1, 1])
     assert h.tolist() == [0.0, 2.0, TOL_H]
     for x in (a, b, c):
@@ -334,7 +334,7 @@ def test_f_sigma_scale_invariant_at_sigma_zero(s, lam):
 
 
 def test_f_sigma_degenerate_h():
-    # f_sigma is NaN where |H| <= tol_h, whatever the traceless part
+    # f_sigma is NaN where |H| <= TOL_H, whatever the traceless part
     h = np.array([0.0, TOL_H, 1.0])
     fs = pinching_fields(h, np.ones(3), np.zeros(3), np.zeros(3), gamma=0.5, sigma=0.1)["fsigma"]
     assert np.isnan(fs[:2]).all() and fs[2] == pytest.approx(2.0, rel=1e-15)

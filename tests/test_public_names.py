@@ -3,7 +3,8 @@
 A public top-level name counts as used when some module of the package
 reads it outside its own definition (an import alone does not count), or
 when README.md names it in backticks.  A name that only tests call is
-dead weight in the package.
+dead weight in the package.  Likewise every module-level import must be
+read in its own module.
 """
 
 import ast
@@ -48,3 +49,17 @@ def test_public_names_have_a_caller_or_a_readme_entry(module):
         if not (used or node.name in documented):
             unused.append(node.name)
     assert unused == [], f"{module}: public names with no caller in src/ and no README entry"
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_module_level_imports_are_read(module):
+    # a writer that stops using a module (csv, say) must take its import with it
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    assert sorted(imported - read) == [], f"{module}: imports that nothing in it reads"
