@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -29,6 +28,7 @@ from .flow import (
     FlowConfig,
     Snapshot,
     decay_exponent_fit,
+    finite_number,
     run_flow,
     type_i_rescale,
 )
@@ -102,7 +102,10 @@ def load_scenario(scenario: str) -> dict:
         raise ValueError(f"unknown scenario {scenario!r}: not a preset "
                          f"({', '.join(sorted(SCENARIO_PRESETS))}) and no such file")
     sc = parse_scenario_text(path.read_text())
-    unknown = set(sc) - _SCENARIO_KEYS - set(_SURFACE_KEYS.get(sc.get("surface"), ()))
+    kind = sc.get("surface")
+    if not isinstance(kind, str) or kind not in _SURFACE_KEYS:  # a list is no dict key
+        raise ValueError(f"unknown surface {kind!r}; options: {sorted(_SURFACE_KEYS)}")
+    unknown = set(sc) - _SCENARIO_KEYS - set(_SURFACE_KEYS[kind])
     if unknown:
         raise ValueError(f"scenario {scenario}: unknown keys {sorted(unknown)}")
     sc.setdefault("name", path.stem)
@@ -110,22 +113,16 @@ def load_scenario(scenario: str) -> dict:
 
 
 def build_surface(sc: dict):
-    kind = sc.get("surface")
-    if kind not in _SURFACE_KEYS:
-        raise ValueError(f"unknown surface {kind!r}; options: {sorted(_SURFACE_KEYS)}")
+    """The surface of a scenario that load_scenario returned."""
+    kind = sc["surface"]
     kwargs = {k: sc[k] for k in _SURFACE_KEYS[kind] if k in sc}
     for k, v in kwargs.items():
-        # JSON reads NaN and Infinity as floats; eps4 takes any sign, and
-        # every key besides it and the counts is a radius or a semi-axis
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or isinstance(v, float) and not math.isfinite(v)):
-            raise ValueError(f"surface key {k} must be a finite number, got {v!r}")
-        if k in ("n1", "n2", "subdivisions"):
-            if v != int(v) or v < 0:
-                raise ValueError(f"surface key {k} must be a non-negative integer, got {v!r}")
-            kwargs[k] = int(v)
-        elif k != "eps4" and not v > 0:
-            raise ValueError(f"surface key {k} must be positive, got {v!r}")
+        # eps4 takes any sign; every key besides it and the counts is a radius or a semi-axis
+        count = k in ("n1", "n2", "subdivisions")
+        v = kwargs[k] = finite_number(f"surface key {k}", v, integral=count)
+        if not (v >= 0 if count else k == "eps4" or v > 0):
+            raise ValueError(f"surface key {k} must be {'non-negative' if count else 'positive'}, "
+                             f"got {v!r}")
     return getattr(builders, kind)(**kwargs)
 
 
@@ -248,19 +245,16 @@ def _cmd_certify(args) -> int:
                                 gamma_override=args.gamma_override)
     if args.out:
         write_table(Path(args.out) / "worst_samples.csv", [["a", "b", "c", "value"], *report.worst])
-        print(_write_json(Path(args.out) / "certificate.json", report.as_dict()))
-    else:
-        print(json.dumps(report.as_dict(), indent=1))
+    print(_write_json(Path(args.out) / "certificate.json", report.as_dict()) if args.out
+          else json.dumps(report.as_dict(), indent=1))
     return 0
 
 
 def _cmd_scan(args) -> int:
     res = threshold_scan(args.k_low, args.k_high, tol_k=args.tol, grid=args.grid,
                          random_samples=args.samples, seed=args.seed)
-    if args.out:
-        print(_write_json(Path(args.out) / "scan.json", res.as_dict()))
-    else:
-        print(json.dumps(res.as_dict(), indent=1))
+    print(_write_json(Path(args.out) / "scan.json", res.as_dict()) if args.out
+          else json.dumps(res.as_dict(), indent=1))
     return 0
 
 
@@ -302,13 +296,13 @@ def _cmd_rescale(args) -> int:
         cfg, stop_a2 = flow_config(summary["scenario"]), summary["stop_a2"]
         for key, v in [("stop_a2", stop_a2),
                        *((k, e[k]) for e in index for k in ("index", "step", "t", "maxA2"))]:
-            what = "integer" if key in ("index", "step") else "number"
-            # a NaN or non-positive stop_a2 would switch off type_i_rescale's blow-up guard;
-            # the float bound also refuses an integer too large for a float
-            if (isinstance(v, bool) or not isinstance(v, int if what == "integer" else (int, float))
-                    or not abs(v) <= sys.float_info.max or key == "stop_a2" and not v > 0):
-                raise ValueError(f"malformed flow run {run_dir}: {key} must be a finite {what}"
-                                 f"{' > 0' if key == 'stop_a2' else ''}, got {v!r}")
+            name, count = f"malformed flow run {run_dir}: {key}", key in ("index", "step")
+            finite_number(name, v, integral=count)
+            # index and step are written as integers, so 0.0 is refused; a non-positive
+            # stop_a2 would switch off type_i_rescale's blow-up guard
+            if count and not isinstance(v, int) or key == "stop_a2" and not v > 0:
+                raise ValueError(f"{name} must be a finite {'integer' if count else 'number > 0'}, "
+                                 f"got {v!r}")
         snaps = [Snapshot(e["step"], e["t"], e["maxA2"],
                           read_off4(run_dir / "snapshots" / f"snap_{e['index']:03d}.off4"))
                  for e in index]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -50,6 +51,15 @@ CG_RTOL = 1e-10
 CG_MAX_ITER = 1000
 
 
+def finite_number(name: str, v, integral: bool = False):
+    """v, or int(v) if integral, when v is a finite (if integral, whole) number, else a ValueError
+    naming name.  JSON reads NaN, Infinity and integers too large for any float."""
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+            or not abs(v) <= sys.float_info.max or integral and v != int(v)):
+        raise ValueError(f"{name} must be a finite {'integer' if integral else 'number'}, got {v!r}")
+    return int(v) if integral else v
+
+
 @dataclass
 class FlowConfig:
     k: float = 29.0 / 40.0
@@ -75,22 +85,13 @@ class FlowConfig:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is None and f.default is None:
-                continue
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{f.name} must be a number, got {v!r}")
-            # JSON reads NaN and Infinity as floats; either would disable a stop rule
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v!r}")
-        for name, low in (("max_steps", 0), ("output_every", 1), ("poincare_every", 1)):
+            if v is not None or f.default is not None:
+                setattr(self, f.name, finite_number(f.name, v, integral=f.type == "int"))
+        for name in ("max_steps", "output_every", "poincare_every", "stop_a2", "stop_factor",
+                     "epsilon_z"):
             v = getattr(self, name)
-            # 3.0 reads as 3; a truncated 2.7 would run as 2 while run.json echoes 2.7
-            if v != int(v) or v < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {v!r}")
-            setattr(self, name, int(v))
-        for name in ("stop_a2", "stop_factor", "epsilon_z"):
-            if getattr(self, name) is not None and not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if v is not None and not (v > 0 or name == "max_steps" and v == 0):
+                raise ValueError(f"{name} must be {'>= 0' if name == 'max_steps' else '> 0'}, got {v}")
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl}")
         # what poincare_check needs; the monitor would otherwise log NaN
@@ -162,8 +163,7 @@ def poincare_check(mesh: SurfaceMesh, p: float, eta: float, sigma: float,
         raise EpsilonZNotPositive(f"epsilon_z = {epsilon_z}")
     if p < 2 or eta <= 0:
         raise ValueError("need p >= 2 and eta > 0")
-    if not mesh.geometry_recovered:
-        recover_geometry(mesh)
+    recover_geometry(mesh)
     h = mesh.frame_h
     if np.nanmin(h) <= TOL_H:
         raise ValueError("mean curvature vanishes somewhere; f_sigma undefined")
@@ -183,8 +183,7 @@ def poincare_check(mesh: SurfaceMesh, p: float, eta: float, sigma: float,
 def monitors(mesh: SurfaceMesh, cfg: FlowConfig, t: float, r0: float,
              step: int = 0, dt: float = 0.0, with_poincare: bool = True) -> TraceRow:
     """One trace row of the pinching and decay monitors."""
-    if not mesh.geometry_recovered:
-        recover_geometry(mesh)
+    recover_geometry(mesh)
     fields_ = pinching_fields(mesh.frame_h, mesh.frame_a, mesh.frame_b, mesh.frame_c,
                               cfg.gamma, k=cfg.k, eps=cfg.eps, sigma=cfg.sigma)
     area = mesh.vertex_area
@@ -345,8 +344,7 @@ def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
     the same, but the mesh stays uniform enough to survive the full
     curvature blowup.
     """
-    if not mesh.geometry_recovered:
-        recover_geometry(mesh)
+    recover_geometry(mesh)
     max_a2 = float(np.max(mesh.norm_a2()))
     dt = nominal_dt = cfg.cfl * (1.0 / max_a2)
     rejections, cg_iterations = [], []
@@ -485,8 +483,7 @@ def type_i_rescale(snapshots: list, stop_a2: float, gamma: float) -> list:
     out = []
     for snap in snapshots:
         mesh = snap.mesh
-        if not mesh.geometry_recovered:
-            recover_geometry(mesh)
+        recover_geometry(mesh)
         i = int(np.nanargmax(mesh.frame_h))
         lam = float(mesh.frame_h[i])
         scaled = mesh.with_vertices(lam * (mesh.vertices - mesh.vertices[i]))

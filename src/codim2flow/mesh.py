@@ -378,8 +378,10 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     curvature).  Vertices whose 2-ring is too small for the quartic basis,
     or cannot separate its terms, fall back to the plain quadratic fit.
     The mixed areas and the cotan velocity read the mesh's one triangle
-    pass (triangle_areas).  Modifies in place and returns the mesh.
+    pass (triangle_areas).  Fills the mesh once, in place, and returns it.
     """
+    if mesh.geometry_recovered:
+        return mesh
     v = mesh.vertices
     topo = mesh._topo
     idx2, mask2 = topo["ring2_idx"], topo["ring2_mask"]
@@ -553,26 +555,32 @@ def write_off4(mesh: SurfaceMesh, path) -> None:
 
 
 def read_off4(path) -> SurfaceMesh:
+    """Read write_off4's format; a malformed line raises ValueError naming the file and the line."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ValueError(f"empty OFF4 file: {path}")
-    if lines[0] != "OFF4":
-        raise ValueError(f"not an OFF4 file: header {lines[0]!r}")
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.startswith("#")]
+
+    def row(i, n, kind, what, ok=lambda cells: True):
+        if i >= len(lines):
+            raise ValueError(f"truncated OFF4 file: {path}")
+        try:
+            cells = [kind(c) for c in lines[i][1]]
+            if len(cells) == n and ok(cells):
+                return cells
+        except ValueError:
+            pass
+        raise ValueError(f"OFF4 file {path} line {lines[i][0]}: expected {what}, "
+                         f"got {' '.join(lines[i][1])!r}")
+
+    row(0, 1, str, "the header OFF4", lambda c: c == ["OFF4"])
+    nv, nf, _ = row(1, 3, int, "three counts, of vertices and faces > 0", lambda c: min(c[:2]) > 0)
+    verts = np.array([row(2 + i, 4, float, "four coordinates") for i in range(nv)]).reshape(nv, 4)
+    bad = ~np.isfinite(verts).all(axis=1)
+    if bad.any():
+        raise ValueError(f"non-finite vertex coordinate in OFF4 file: {path} "
+                         f"line {lines[2 + bad.argmax()][0]}")
+    tris = [row(2 + nv + i, 4, int, "a face 3 a b c", lambda c: c[0] == 3)[1:] for i in range(nf)]
     try:
-        nv, nf, _ = (int(x) for x in lines[1].split())
-        verts = np.array([[float(x) for x in lines[2 + i].split()] for i in range(nv)])
-        tris = []
-        for i in range(nf):
-            parts = lines[2 + nv + i].split()
-            if parts[0] != "3":
-                raise ValueError("only triangle faces supported")
-            tris.append([int(p) for p in parts[1:4]])
-    except IndexError:
-        raise ValueError(f"truncated OFF4 file: {path}") from None
-    if not np.all(np.isfinite(verts)):
-        raise ValueError(f"non-finite vertex coordinate in OFF4 file: {path}")
-    try:
-        return SurfaceMesh(verts, np.array(tris))
+        return SurfaceMesh(verts, np.array(tris).reshape(nf, 3))
     except (NonManifoldMesh, DegenerateNeighborhood) as exc:
         raise ValueError(f"bad OFF4 mesh {path}: {exc}") from None

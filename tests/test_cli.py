@@ -494,6 +494,25 @@ def test_nonfinite_off4_coordinates_are_config_errors(tmp_path, capsys, finished
     assert "snap_000.off4" in err and "LinAlgError" not in err
 
 
+@pytest.mark.parametrize("row, text", [
+    (2, "0.1 0.2 0.3"), (-1, "3 1 2"), (2, None), (2, "abc 0 0 0"), (1, "42 80"),
+], ids=["short_vertex_row", "short_face_row", "every_vertex_row_short", "word", "two_counts"])
+def test_malformed_off4_rows_name_the_file_and_line(tmp_path, capsys, finished_run, row, text):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    off4 = run / "snapshots" / "snap_000.off4"
+    lines = off4.read_text().splitlines()
+    if text is None:  # drop the last coordinate of every vertex row
+        nv = int(lines[1].split()[0])
+        lines[2:2 + nv] = [ln.rsplit(" ", 1)[0] for ln in lines[2:2 + nv]]
+    else:
+        lines[row] = text
+    off4.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"snap_000\.off4 line {row % len(lines) + 1}\b"):
+        read_off4(off4)
+    assert main(["rescale", "--run", str(run)]) == 2
+    assert "snap_000.off4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("file, key, value", [
     ("run.json", "stop_a2", "abc"), ("run.json", "stop_a2", float("nan")),
     ("run.json", "stop_a2", float("inf")), ("run.json", "stop_a2", 0.0),
@@ -530,7 +549,11 @@ def test_bad_run_values_are_config_errors(tmp_path, capsys, finished_run, file, 
                                  {"stop_a2": -1}, {"stop_a2": 0},
                                  # a truncated count would run 2.7 steps as 2
                                  {"output_every": 2.5}, {"poincare_every": 1.9},
-                                 {"max_steps": 2.7}])
+                                 {"max_steps": 2.7},
+                                 # JSON integers have no size limit; no float holds these
+                                 {"stop_a2": 10 ** 400, "max_steps": 3},
+                                 {"k": 10 ** 400, "max_steps": 3},
+                                 {"eps": 10 ** 400, "max_steps": 3}])
 def test_bad_flow_config_values_are_config_errors(tmp_path, bad):
     cfg = tiny_scenario(tmp_path, **bad)
     assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 2
@@ -556,6 +579,7 @@ _SURFACES = {
     ("ellipsoid_plus_bump", "a1", "Infinity"), ("ellipsoid_plus_bump", "a3", "0"),
     ("ellipsoid_plus_bump", "eps4", "NaN"), ("product_torus", "n1", "8.9"),
     ("product_torus", "r2", "0"),
+    pytest.param("icosphere", "r", "1" + "0" * 400, id="icosphere-r-10**400"),
 ])
 def test_bad_surface_keys_are_config_errors(tmp_path, capsys, surface, key, value):
     keys = dict(_SURFACES[surface], **{key: value})
@@ -568,6 +592,13 @@ def test_bad_surface_keys_are_config_errors(tmp_path, capsys, surface, key, valu
     assert rc == 2
     assert f"surface key {key} must be" in capsys.readouterr().err
     assert caught == []
+
+
+def test_non_string_surface_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("surface = [1]\nr = 1.0\nsubdivisions = 2\nmax_steps = 2\n")
+    assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 2
+    assert "unknown surface [1]" in capsys.readouterr().err
 
 
 def test_integral_float_counts_build_the_integer_surface():

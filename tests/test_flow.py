@@ -27,6 +27,7 @@ from codim2flow.flow import (
     _normal_part,
     _triangle_inverted,
     decay_exponent_fit,
+    finite_number,
     monitors,
     poincare_check,
     run_flow,
@@ -77,6 +78,22 @@ def test_cfl_validated():
         FlowConfig(cfl=0.0)
     with pytest.raises(ValueError):
         FlowConfig(cfl=0.7)
+
+
+@pytest.mark.parametrize("v", [True, "1", None, [1], math.nan, math.inf, -math.inf,
+                               10 ** 400, -(10 ** 400)])
+def test_finite_number_refuses_what_no_float_holds(v):
+    for integral in (False, True):
+        with pytest.raises(ValueError, match="^x must be a finite"):
+            finite_number("x", v, integral=integral)
+
+
+def test_finite_number_reads_whole_numbers_as_integers():
+    assert finite_number("x", 2) == 2 and finite_number("x", -1e308) == -1e308
+    assert type(finite_number("x", 3.0, integral=True)) is int
+    assert finite_number("x", 10 ** 300, integral=True) == 10 ** 300
+    with pytest.raises(ValueError, match="x must be a finite integer, got 2.5"):
+        finite_number("x", 2.5, integral=True)
 
 
 def test_epsilon_z_resolution():

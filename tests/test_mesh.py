@@ -246,6 +246,13 @@ def test_topology_rejections_keep_their_messages(case):
         assert str(info.value) == msg
 
 
+def test_recover_geometry_returns_a_recovered_mesh_at_once():
+    m = recover_geometry(icosphere(1.0, 2))
+    caches = (m.vertex_area, m.shape, m.frame_h, m.mean_curv_cot)
+    assert recover_geometry(m) is m
+    assert all(a is b for a, b in zip(caches, (m.vertex_area, m.shape, m.frame_h, m.mean_curv_cot)))
+
+
 def test_frame_orthonormality(sphere4):
     frames = np.concatenate([sphere4.tangent, sphere4.normal], axis=2)  # (n, 4, 4)
     eye = np.einsum("nia,nib->nab", frames, frames)
