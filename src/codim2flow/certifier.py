@@ -30,6 +30,20 @@ from .errors import BracketInvalid, InvalidK, ResolutionTooCoarse
 
 ORACLE_RTOL = 1e-10
 MIN_GRID = 64
+# rows per piece of every certification evaluation: its temporaries stay cache-sized
+_PIECE = 1 << 13
+
+
+def _pieces(stop: int, start: int = 0) -> list:
+    """Consecutive slices of _PIECE rows that cover start:stop.
+
+    A last piece of one row joins the piece before it: numpy reduces a
+    one-row array with other kernels, so its row could round otherwise.
+    """
+    los = list(range(start, stop, _PIECE))
+    if len(los) > 1 and stop - los[-1] == 1:
+        los.pop()
+    return [slice(lo, hi) for lo, hi in zip(los, los[1:] + [stop])]
 
 
 def _check_k(k) -> None:
@@ -100,12 +114,9 @@ def _octant_sphere_grid(res: int):
     """Unit-sphere grid on the canonical octant a >= 0, c >= 0 (b free)."""
     theta = np.linspace(0.0, np.pi, res)         # polar angle from the b axis
     phi = np.linspace(0.0, np.pi / 2, res)       # splits a from c
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    st = np.sin(th)
-    a = (st * np.cos(ph)).ravel()
-    b = np.cos(th).ravel()
-    c = (st * np.sin(ph)).ravel()
-    return a, b, c
+    # row i of the (res, res) grid has polar angle theta[i]
+    st = np.sin(theta)[:, None]
+    return (st * np.cos(phi)).ravel(), np.repeat(np.cos(theta), res), (st * np.sin(phi)).ravel()
 
 
 @dataclass
@@ -134,30 +145,52 @@ class CertificateReport:
 
 
 def _sphere_samples(grid: int, random_samples: int, seed: int):
-    """(a, b, c, oracle_rows): octant grid, seeded unit directions, then the oracle rows."""
+    """(a, b, c, oracle_rows): octant grid, seeded unit directions, then the oracle rows.
+
+    The directions are drawn a piece at a time: successive (m, 3) draws give
+    the numbers of one (random_samples, 3) draw.
+    """
     if grid < MIN_GRID:
         raise ResolutionTooCoarse(f"grid resolution {grid} < {MIN_GRID}")
-    ga, gb, gc = _octant_sphere_grid(grid)
+    if random_samples < 0:
+        raise ValueError(f"random_samples (--samples) must be nonnegative, got {random_samples}")
+    g2 = grid * grid
+    n = g2 + random_samples
+    try:
+        a, b, c = np.empty((3, n))
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's index range
+        raise ValueError(f"grid {grid} (--grid) and random_samples {random_samples} (--samples) "
+                         f"give {n} samples, more than numpy can allocate") from None
+    a[:g2], b[:g2], c[:g2] = _octant_sphere_grid(grid)
     rng = np.random.default_rng(seed)
-    r = rng.standard_normal((random_samples, 3))
-    r /= np.linalg.norm(r, axis=1, keepdims=True)
-    a = np.concatenate([ga, np.abs(r[:, 0])])
-    b = np.concatenate([gb, r[:, 1]])
-    c = np.concatenate([gc, np.abs(r[:, 2])])
-    return a, b, c, rng.choice(a.size, size=min(2000, a.size), replace=False)
+    for s in _pieces(n, g2):
+        r = rng.standard_normal((s.stop - s.start, 3))
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        a[s], b[s], c[s] = np.abs(r[:, 0]), r[:, 1], np.abs(r[:, 2])
+    return a, b, c, rng.choice(n, size=min(2000, n), replace=False)
 
 
-def _checked_reaction(samples, k, gamma):
-    """eps = 0 reduced reaction and its deviation from unreduced_reaction on the oracle rows."""
+def _checked_reaction(samples, k, gamma, values=None):
+    """Largest eps = 0 reduced reaction over the samples, evaluated a piece at a time
+    and written to values when given, and its deviation from unreduced_reaction on
+    the oracle rows."""
     # an overflow shows up as a non-finite deviation, which fails the check
     a, b, c, idx = samples
+    maxima = []
     with np.errstate(over="ignore", invalid="ignore"):
-        values = reaction_expression(a, b, c, 0.0, k, gamma)
+        for s in _pieces(a.size):
+            piece = reaction_expression(a[s], b[s], c[s], 0.0, k, gamma)
+            if values is not None:
+                values[s] = piece
+            maxima.append(piece.max())
         ora = unreduced_reaction(a[idx], b[idx], c[idx], 0.0, k, gamma)
-        reldev = float(np.max(np.abs(values[idx] - ora) / (1.0 + np.abs(ora))))
+        # elementwise arithmetic: the oracle rows round as in their pieces
+        red = reaction_expression(a[idx], b[idx], c[idx], 0.0, k, gamma)
+        reldev = float(np.max(np.abs(red - ora) / (1.0 + np.abs(ora))))
     if not reldev <= ORACLE_RTOL:
         raise AssertionError(f"reduced/unreduced reaction mismatch: {reldev:.3e}")
-    return values, reldev
+    # np.max, unlike max(), keeps a NaN piece maximum
+    return float(np.max(maxima)), reldev
 
 
 def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
@@ -175,8 +208,9 @@ def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
     gamma = gamma_for_k(k, delta) if gamma_override is None else gamma_override
     if not np.isfinite([delta, gamma]).all():
         raise ValueError(f"delta and gamma must be finite, got delta = {delta}, gamma = {gamma}")
-    values, reldev = _checked_reaction(samples, k, gamma)
     a, b, c, _ = samples
+    values = np.empty(a.size)
+    _, reldev = _checked_reaction(samples, k, gamma, values)
     imax = int(np.argmax(values))
     order = np.argsort(values)[::-1][:100]
     worst = [(float(a[i]), float(b[i]), float(c[i]), float(values[i])) for i in order]
@@ -233,7 +267,7 @@ def threshold_scan(k_low: float, k_high: float, tol_k: float = 1e-3,
     def max_at(k):
         # a confirmation clamped to a bracket end reuses that end's maximum
         if k not in memo:
-            memo[k] = float(np.max(_checked_reaction(samples, k, gamma_for_k(k))[0]))
+            memo[k] = _checked_reaction(samples, k, gamma_for_k(k))[0]
         return memo[k]
 
     lo_val, hi_val = max_at(k_low), max_at(k_high)

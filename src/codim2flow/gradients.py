@@ -59,12 +59,17 @@ class GradientSlacks:
     kperp_evol_bound: float  # |DA|^2 - 2 * evol cross term of K-perp
 
 
+def _norm_grad_a2(u, v):
+    """|DA|^2, with multiplicities 1, 3, 3, 1, for components of shape (..., 4)."""
+    return (u * u) @ _WEIGHTS + (v * v) @ _WEIGHTS
+
+
 def gradient_norms(u, v):
-    """|DA|^2 (multiplicities 1, 3, 3, 1) and |DH|^2 for components of shape (..., 4).
+    """|DA|^2 and |DH|^2 for components of shape (..., 4).
 
     |DH|^2 comes from the Codazzi-tensor traces D_i H_alpha = sum_k D_i h_{kk,alpha}.
     """
-    na2 = (u * u) @ _WEIGHTS + (v * v) @ _WEIGHTS
+    na2 = _norm_grad_a2(u, v)
     nh2 = ((u[..., 0] + u[..., 2]) ** 2 + (u[..., 1] + u[..., 3]) ** 2
            + (v[..., 0] + v[..., 2]) ** 2 + (v[..., 1] + v[..., 3]) ** 2)
     return na2, nh2
@@ -122,7 +127,7 @@ def grad_kperp_bound_fields(h, a, b, c, u, v):
     """Elementwise (|grad K-perp|, 4 |A-circ| |DA|); the first never exceeds the second."""
     lhs = np.hypot(*grad_kperp_closed(a, b, c, u, v))
     acirc = np.sqrt(field_scalars(h, a, b, c)["norm_acirc2"])
-    return lhs, 4 * acirc * np.sqrt(gradient_norms(u, v)[0])
+    return lhs, 4 * acirc * np.sqrt(_norm_grad_a2(u, v))
 
 
 def check_gradient_inequalities(g: GradientState) -> GradientSlacks:

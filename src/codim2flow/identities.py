@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .certifier import gamma_for_k, reaction_expression, unreduced_reaction
+from .certifier import _pieces, gamma_for_k, reaction_expression, unreduced_reaction
 from .curvature import field_scalars, lift_batch, reaction_terms, special_frame_fields, tensor_z_batch
 from .gradients import (_WEIGHTS, grad_kperp_bound_fields, gradient_slacks, kperp_cross,
                         kperp_cross_raw, sweep_inequalities, trace_part)
@@ -26,7 +26,7 @@ def random_frame_fields(rng, count):
     return h, a, b, c
 
 
-# rows per slice of a sweep: each slice draws and evaluates its own states
+# rows per slice of a sweep: each slice draws its own states, evaluated a piece at a time
 _CHUNK = 1 << 16
 
 # tolerance of each property
@@ -57,7 +57,7 @@ def _entry(name, samples, worst, witness):
 
 
 def _argmax(dev, states=None):
-    """The slice's np.argmax deviation, with the states of its row as witness when given."""
+    """The piece's np.argmax deviation, with the states of its row as witness when given."""
     i = int(np.argmax(dev))
     return dev[i], None if states is None else [float(x[i]) for x in states]
 
@@ -65,25 +65,28 @@ def _argmax(dev, states=None):
 def _worst(parts):
     """The (value, payload) pair that np.argmax picks from parts: the first NaN, else the first maximum.
 
-    Given each slice's own argmax pair in order this is the argmax over all
-    slices: ties keep the first slice, and a NaN in any slice makes the worst
+    Given each piece's own argmax pair in order this is the argmax over all
+    pieces: ties keep the first piece, and a NaN in any piece makes the worst
     value NaN, where Python's max() would drop it depending on order.
     """
     return parts[int(np.argmax([value for value, _ in parts]))]
 
 
-def _sweep(seed, sweep, count, evaluate):
+def _sweep(seed, sweep, count, draw, evaluate):
     """Worst value and witness of each property of one sweep over count rows.
 
-    Slice j of sweep draws at most _CHUNK rows from default_rng([seed, sweep, j]),
-    and evaluate(rng, rows) maps each property to that slice's (worst, witness),
-    so no state outlives its slice.
+    Slice j of sweep takes its states, at most _CHUNK rows, from draw(rng, rows)
+    with rng = default_rng([seed, sweep, j]), so no state outlives its slice, and
+    evaluate(*states) maps each property to one piece's (worst, witness).
     """
     parts = {}
     for j, lo in enumerate(range(0, count, _CHUNK)):
-        rng = np.random.default_rng([seed, sweep, j])
-        for name, part in evaluate(rng, min(_CHUNK, count - lo)).items():
-            parts.setdefault(name, []).append(part)
+        rows = min(_CHUNK, count - lo)
+        states = draw(np.random.default_rng([seed, sweep, j]), rows)
+        for s in _pieces(rows):
+            for name, part in evaluate(*(x[s] for x in states)).items():
+                parts.setdefault(name, []).append(part)
+        del states  # before the next slice's draw, which would otherwise meet it
     return {name: _worst(p) for name, p in parts.items()}
 
 
@@ -91,24 +94,25 @@ def identity_report(seed: int, count: int) -> dict:
     """Run every sweep at the given sample count; 0 gives an empty report, < 0 a ValueError.
 
     The frame-invariance and reaction sweeps take max(count // 10, 100) rows.
-    The report depends on seed, count and _CHUNK, and memory on _CHUNK alone.
+    The report depends on seed, count and _CHUNK, and memory on _CHUNK and
+    the piece size alone.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     props = []
     if count > 0:
         n = max(count // 10, 100)
-        sweeps = ((_curvature_slice, count), (_frame_slice, n), (_gradient_slice, count),
-                  (_reaction_slice, n))
-        for sweep, (evaluate, rows) in enumerate(sweeps):
-            props += [_entry(name, rows, worst, witness)
-                      for name, (worst, witness) in _sweep(seed, sweep, rows, evaluate).items()]
+        sweeps = ((random_frame_fields, _curvature_piece, count), (_frame_draw, _frame_piece, n),
+                  (_gradient_draw, _gradient_piece, count), (_reaction_draw, _reaction_piece, n))
+        for sweep, (draw, evaluate, rows) in enumerate(sweeps):
+            props += [_entry(name, rows, worst, witness) for name, (worst, witness)
+                      in _sweep(seed, sweep, rows, draw, evaluate).items()]
     ok = all(p["pass"] for p in props)
     return {"seed": int(seed), "count": int(count), "pass": ok, "properties": props}
 
 
-def _curvature_slice(rng, rows):
-    fields = h, a, b, c = random_frame_fields(rng, rows)
+def _curvature_piece(h, a, b, c):
+    fields = h, a, b, c
     lam = 1.7
     sc = field_scalars(h, a, b, c)
     zt = tensor_z_batch(*lift_batch(h, a, b, c))
@@ -128,11 +132,16 @@ def _curvature_slice(rng, rows):
     }
 
 
-def _frame_slice(rng, rows):
-    """Frame invariance through random tangent/normal conjugation."""
-    comp, mc = lift_batch(*random_frame_fields(rng, rows))
+def _frame_draw(rng, rows):
+    """Frame fields, then tangent and normal rotation angles and a tangent flip."""
+    fields = random_frame_fields(rng, rows)
     t, p = rng.uniform(0, 2 * np.pi, (2, rows))
-    flip = rng.integers(0, 2, rows) * 2 - 1
+    return *fields, t, p, rng.integers(0, 2, rows) * 2 - 1
+
+
+def _frame_piece(h, a, b, c, t, p, flip):
+    """Frame invariance through random tangent/normal conjugation."""
+    comp, mc = lift_batch(h, a, b, c)
     rt = np.moveaxis(np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]), -1, 0)
     rn = np.moveaxis(np.array([[np.cos(p), -np.sin(p)], [np.sin(p), np.cos(p)]]), -1, 0)
     rt[:, :, 1] *= flip[:, None]
@@ -146,9 +155,12 @@ def _frame_slice(rng, rows):
         for key in ("norm_a2", "norm_acirc2", "gauss_k", "normal_kperp")]))}
 
 
-def _gradient_slice(rng, rows):
+def _gradient_draw(rng, rows):
     u, v = rng.standard_normal((2, rows, 4))
-    fields = random_frame_fields(rng, rows)
+    return u, v, *random_frame_fields(rng, rows)
+
+
+def _gradient_piece(u, v, *fields):
     out = {name: (-entry["slack_min"], entry["witness"])
            for name, entry in sweep_inequalities(np.hstack((u, v))).items()}
     raw = kperp_cross_raw(u, v)
@@ -175,10 +187,14 @@ def _gradient_slice(rng, rows):
     }
 
 
-def _reaction_slice(rng, rows):
+def _reaction_draw(rng, rows):
     a, b, c = rng.standard_normal((3, rows))
     k = rng.uniform(0.55, 1.0, rows)
     eps = rng.uniform(0.0, 1.0, rows)
+    return a, b, c, eps, k
+
+
+def _reaction_piece(a, b, c, eps, k):
     g = gamma_for_k(k)
     lhs = reaction_expression(a, b, c, eps, k, g)
     rhs = unreduced_reaction(a, b, c, eps, k, g)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -233,6 +234,59 @@ def test_threshold_scan_evaluates_each_k_once(monkeypatch):
     res = threshold_scan(0.6, 0.75, tol_k=0.2, grid=64, random_samples=1000)
     assert res.negative_below and res.positive_above
     assert (res.evaluations, ks) == (2, [0.6, 0.75])
+
+
+def _one_shot_samples(grid, random_samples, seed):
+    """The samples drawn the way they were first defined: a meshgrid octant and one (N, 3) draw."""
+    theta = np.linspace(0.0, np.pi, grid)
+    phi = np.linspace(0.0, np.pi / 2, grid)
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    st = np.sin(th)
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((random_samples, 3))
+    r /= np.linalg.norm(r, axis=1, keepdims=True)
+    a = np.concatenate([(st * np.cos(ph)).ravel(), np.abs(r[:, 0])])
+    b = np.concatenate([np.cos(th).ravel(), r[:, 1]])
+    c = np.concatenate([(st * np.sin(ph)).ravel(), np.abs(r[:, 2])])
+    return a, b, c, rng.choice(a.size, size=min(2000, a.size), replace=False)
+
+
+def test_pieces_cover_the_rows_without_a_one_row_tail(monkeypatch):
+    monkeypatch.setattr(certifier, "_PIECE", 7)
+    assert certifier._pieces(15) == [slice(0, 7), slice(7, 15)]
+    assert certifier._pieces(16, 3) == [slice(3, 10), slice(10, 16)]
+    assert certifier._pieces(1) == [slice(0, 1)] and certifier._pieces(4, 4) == []
+
+
+@pytest.mark.parametrize("piece", [1 << 13, 7])
+@pytest.mark.parametrize("grid, random_samples, seed", [(64, 20_000, 5), (65, 1, 0), (64, 0, 2)])
+def test_streamed_samples_equal_one_draw(monkeypatch, piece, grid, random_samples, seed):
+    monkeypatch.setattr(certifier, "_PIECE", piece)
+    streamed = certifier._sphere_samples(grid, random_samples, seed)
+    for got, want in zip(streamed, _one_shot_samples(grid, random_samples, seed)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_certificate_and_scan_do_not_depend_on_the_piece_size(monkeypatch):
+    kw = dict(grid=64, random_samples=5003, seed=4)
+    results = []
+    for piece in (1 << 13, 7):
+        monkeypatch.setattr(certifier, "_PIECE", piece)
+        rep = certify_negativity(0.72, **kw)
+        scan = threshold_scan(0.66, 0.75, tol_k=5e-3, **kw)
+        results.append((rep.as_dict(), rep.worst, scan.as_dict()))
+    assert results[0] == results[1]
+
+
+def test_certify_memory_per_sample():
+    # a, b, c, the values and their argsort: five 8-byte arrays per sample
+    tracemalloc.start()
+    try:
+        rep = certify_negativity(0.7, grid=256, random_samples=10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * rep.sample_count, f"{peak / rep.sample_count:.1f} bytes per sample"
 
 
 def test_threshold_scan_grid_refinement_stability():

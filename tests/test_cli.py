@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import codim2flow.certifier as certifier
 import codim2flow.cli as cli
 import codim2flow.identities as identities
 from codim2flow.cli import (
@@ -118,6 +119,16 @@ def test_identity_sweep_memory_is_bounded():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 5e6, f"traced peaks {peaks[0] / 1e6:.1f} and {peaks[1] / 1e6:.1f} MB"
+    # one slice's states and one piece's temporaries
+    assert peaks[1] < 15e6, f"traced peak {peaks[1] / 1e6:.1f} MB at 10^6 rows"
+
+
+@pytest.mark.parametrize("piece", [identities._CHUNK, 7])
+def test_identity_report_does_not_depend_on_the_piece_size(monkeypatch, piece):
+    # _CHUNK evaluates each slice at once; 3004 rows leave a one-row piece of 7 to fold
+    expected = json.dumps(identity_report(seed=3, count=3004))
+    monkeypatch.setattr(certifier, "_PIECE", piece)
+    assert json.dumps(identity_report(seed=3, count=3004)) == expected
 
 
 def test_cmd_identities_exit_codes(tmp_path, capsys, monkeypatch):
@@ -605,6 +616,19 @@ def test_integral_float_counts_build_the_integer_surface():
     sc = {"surface": "icosphere", "r": 1.0, "subdivisions": 2.0}
     assert np.array_equal(build_surface(sc).triangles,
                           build_surface(dict(sc, subdivisions=2)).triangles)
+
+
+@pytest.mark.parametrize("command", [["certify", "--k", "0.7"],
+                                     ["scan", "--k-low", "0.66", "--k-high", "0.75"]])
+@pytest.mark.parametrize("counts, names", [
+    (["--grid", "64", "--samples", "-5"], ["--samples"]),
+    # 10^16 rows: numpy refuses the request at once, before any memory is touched
+    (["--grid", "100000000"], ["--grid", "--samples"]),
+])
+def test_bad_sample_count_is_config_error(command, counts, names, capsys):
+    assert main([*command, *counts]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names) and len(err.splitlines()) == 1
 
 
 def test_cmd_scan_nonpositive_tolerance_is_config_error():
