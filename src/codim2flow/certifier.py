@@ -164,33 +164,51 @@ def _sphere_samples(grid: int, random_samples: int, seed: int):
     a[:g2], b[:g2], c[:g2] = _octant_sphere_grid(grid)
     rng = np.random.default_rng(seed)
     for s in _pieces(n, g2):
-        r = rng.standard_normal((s.stop - s.start, 3))
-        r /= np.linalg.norm(r, axis=1, keepdims=True)
-        a[s], b[s], c[s] = np.abs(r[:, 0]), r[:, 1], np.abs(r[:, 2])
+        x, y, z = rng.standard_normal((s.stop - s.start, 3)).T
+        norm = np.sqrt(x * x + y * y + z * z)
+        for col, out in ((np.abs(x), a), (y, b), (np.abs(z), c)):
+            np.divide(col, norm, out=out[s])
     return a, b, c, rng.choice(n, size=min(2000, n), replace=False)
 
 
-def _checked_reaction(samples, k, gamma, values=None):
-    """Largest eps = 0 reduced reaction over the samples, evaluated a piece at a time
-    and written to values when given, and its deviation from unreduced_reaction on
-    the oracle rows."""
+def _first(values, keep: int):
+    """Mask of the keep entries first in the order: NaN, then larger value, then earlier entry."""
+    i = max(values.size - keep, 0)
+    kth = np.partition(values, i)[i]  # NaN sorts last
+    nan = np.isnan(values)
+    tied = nan if np.isnan(kth) else values == kth
+    first = (values > kth) | (nan & ~tied)
+    first[np.flatnonzero(tied)[:keep - np.count_nonzero(first)]] = True
+    return first
+
+
+def _checked_reaction(samples, k, gamma, keep=0):
+    """Largest eps = 0 reduced reaction over the samples, evaluated a piece at a time,
+    its deviation from unreduced_reaction on the oracle rows, and the (rows, values)
+    of the keep rows first in the order NaN, value descending, row ascending."""
     # an overflow shows up as a non-finite deviation, which fails the check
     a, b, c, idx = samples
     maxima = []
+    rows, top = np.empty(0, dtype=np.intp), np.empty(0)
     with np.errstate(over="ignore", invalid="ignore"):
         for s in _pieces(a.size):
             piece = reaction_expression(a[s], b[s], c[s], 0.0, k, gamma)
-            if values is not None:
-                values[s] = piece
             maxima.append(piece.max())
+            if keep:
+                # the kept rows precede the piece's, so rows stay ascending
+                rows = np.concatenate((rows, np.arange(s.start, s.stop)))
+                top = np.concatenate((top, piece))
+                first = _first(top, keep)
+                rows, top = rows[first], top[first]
         ora = unreduced_reaction(a[idx], b[idx], c[idx], 0.0, k, gamma)
         # elementwise arithmetic: the oracle rows round as in their pieces
         red = reaction_expression(a[idx], b[idx], c[idx], 0.0, k, gamma)
         reldev = float(np.max(np.abs(red - ora) / (1.0 + np.abs(ora))))
     if not reldev <= ORACLE_RTOL:
         raise AssertionError(f"reduced/unreduced reaction mismatch: {reldev:.3e}")
-    # np.max, unlike max(), keeps a NaN piece maximum
-    return float(np.max(maxima)), reldev
+    # np.max, unlike max(), keeps a NaN piece maximum; lexsort is stable: ties keep rows ascending
+    order = np.lexsort((-top, ~np.isnan(top)))
+    return float(np.max(maxima)), reldev, rows[order], top[order]
 
 
 def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
@@ -201,7 +219,8 @@ def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
     gamma defaults to 1 - (4/3) k - delta; pass gamma_override to decouple
     the two constants (e.g. the k = gamma = 1 borderline case).  Homogeneity
     of degree four reduces the sign question to the sphere:  an octant grid
-    of the stated resolution plus seeded uniform random directions.
+    of the stated resolution plus seeded uniform random directions.  worst
+    lists the 100 in _checked_reaction's order, so worst[0] is the np.argmax row.
     """
     _check_k(k)
     samples = _sphere_samples(grid, random_samples, seed)
@@ -209,16 +228,13 @@ def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
     if not np.isfinite([delta, gamma]).all():
         raise ValueError(f"delta and gamma must be finite, got delta = {delta}, gamma = {gamma}")
     a, b, c, _ = samples
-    values = np.empty(a.size)
-    _, reldev = _checked_reaction(samples, k, gamma, values)
-    imax = int(np.argmax(values))
-    order = np.argsort(values)[::-1][:100]
-    worst = [(float(a[i]), float(b[i]), float(c[i]), float(values[i])) for i in order]
+    _, reldev, rows, top = _checked_reaction(samples, k, gamma, keep=100)
+    worst = [(float(a[i]), float(b[i]), float(c[i]), float(v)) for i, v in zip(rows, top)]
     return CertificateReport(
         k=float(k), gamma=float(gamma), delta=float(delta),
-        max_value=float(values[imax]),
-        argmax=ConeSample(float(a[imax]), float(b[imax]), float(c[imax]), 0.0, float(k), float(gamma)),
-        sample_count=int(values.size),
+        max_value=worst[0][3],
+        argmax=ConeSample(*worst[0][:3], 0.0, float(k), float(gamma)),
+        sample_count=int(a.size),
         grid={"octant_sphere": [int(grid), int(grid)], "random": int(random_samples), "seed": int(seed)},
         oracle_max_reldev=reldev,
         worst=worst,

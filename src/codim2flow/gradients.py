@@ -15,7 +15,7 @@ inequalities the pinching argument relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -152,6 +152,12 @@ def grad_kperp(s: SpecialFrameState, g: GradientState) -> np.ndarray:
     return out
 
 
+def _scaled_slacks(na2, sl: GradientSlacks) -> dict:
+    """The three slacks divided by |DA|^2, so homogeneity cannot hide a violation."""
+    scale = np.maximum(na2, 1e-300)
+    return {f"grad_{f.name}": getattr(sl, f.name) / scale for f in fields(sl)}
+
+
 def sweep_inequalities(samples: np.ndarray) -> dict:
     """Vectorized slack minima of the three gradient inequalities.
 
@@ -159,17 +165,8 @@ def sweep_inequalities(samples: np.ndarray) -> dict:
     slack per inequality, normalized by |DA|^2 so homogeneity cannot hide a
     violation, plus the argmin rows.
     """
-    u = samples[:, :4]
-    v = samples[:, 4:]
-    na2, sl = gradient_slacks(u, v)
-    scale = np.maximum(na2, 1e-300)
-    slacks = {
-        "grad_trace_bound": sl.trace_bound / scale,
-        "grad_traceless_bound": sl.traceless_bound / scale,
-        "grad_kperp_evol_bound": sl.kperp_evol_bound / scale,
-    }
     out = {}
-    for name, sl in slacks.items():
+    for name, sl in _scaled_slacks(*gradient_slacks(samples[:, :4], samples[:, 4:])).items():
         i = int(np.argmin(sl))
         out[name] = {"slack_min": float(sl[i]), "witness": samples[i].tolist()}
     return out

@@ -12,8 +12,8 @@ import numpy as np
 
 from .certifier import _pieces, gamma_for_k, reaction_expression, unreduced_reaction
 from .curvature import field_scalars, lift_batch, reaction_terms, special_frame_fields, tensor_z_batch
-from .gradients import (_WEIGHTS, grad_kperp_bound_fields, gradient_slacks, kperp_cross,
-                        kperp_cross_raw, sweep_inequalities, trace_part)
+from .gradients import (_WEIGHTS, _scaled_slacks, grad_kperp_bound_fields, gradient_slacks,
+                        kperp_cross, kperp_cross_raw, trace_part)
 
 
 def closed_z_batch(h, a, b, c):
@@ -37,7 +37,7 @@ _TOLERANCE = {
     "kperp_evol_closed_vs_raw": 1e-12, "ef_orthogonal_split": 1e-12, "grad_kperp_bound": 1e-12,
     "reaction_reduction_oracle": 1e-10,
 }
-# the gradient inequalities, whose worst value is sweep_inequalities' slack negated
+# the gradient inequalities, whose worst value is the least scaled slack negated
 _SLACKS = ("grad_trace_bound", "grad_traceless_bound", "grad_kperp_evol_bound")
 
 
@@ -161,13 +161,13 @@ def _gradient_draw(rng, rows):
 
 
 def _gradient_piece(u, v, *fields):
-    out = {name: (-entry["slack_min"], entry["witness"])
-           for name, entry in sweep_inequalities(np.hstack((u, v))).items()}
+    na2, slacks = gradient_slacks(u, v)
+    # sweep_inequalities' minima, witnessed by (u0..u3, v0..v3)
+    out = {name: _argmax(-sl, (*u.T, *v.T)) for name, sl in _scaled_slacks(na2, slacks).items()}
     raw = kperp_cross_raw(u, v)
     # orthogonal splitting DA = E + F with E = trace_part: E is orthogonal to F
     # in each normal slot, |E|^2 + |F|^2 = |DA|^2, and |F|^2 is the slack
     # |DA|^2 - (3/4)|DH|^2 of the trace bound
-    na2, slacks = gradient_slacks(u, v)
     orth = e_norm2 = f_norm2 = 0.0
     for x in (u, v):
         e = trace_part(x)

@@ -24,6 +24,7 @@ from codim2flow.cli import (
     run_scenario,
 )
 from codim2flow.flow import TRACE_COLUMNS, FlowConfig, run_flow
+from codim2flow.gradients import sweep_inequalities
 from codim2flow.identities import identity_report
 from codim2flow.mesh import read_off4
 
@@ -106,6 +107,14 @@ def test_worst_keeps_first_tie_and_any_nan():
     assert identities._worst([(1.0, 0), (2.0, 1), (2.0, 2)]) == (2.0, 1)
     value, row = identities._worst([(1.0, 0), (3.0, 1), (np.nan, 2), (np.nan, 3)])
     assert np.isnan(value) and row == 2
+
+
+def test_gradient_sweep_matches_sweep_inequalities():
+    # the identity sweep scales its one slack pass as criterion 4's sweep_inequalities does
+    states = identities._gradient_draw(np.random.default_rng(5), 3001)
+    got = identities._gradient_piece(*states)
+    for name, entry in sweep_inequalities(np.hstack(states[:2])).items():
+        assert got[name] == (-entry["slack_min"], entry["witness"])
 
 
 def test_identity_sweep_memory_is_bounded():
