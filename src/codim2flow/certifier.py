@@ -35,15 +35,8 @@ _PIECE = 1 << 13
 
 
 def _pieces(stop: int, start: int = 0) -> list:
-    """Consecutive slices of _PIECE rows that cover start:stop.
-
-    A last piece of one row joins the piece before it: numpy reduces a
-    one-row array with other kernels, so its row could round otherwise.
-    """
-    los = list(range(start, stop, _PIECE))
-    if len(los) > 1 and stop - los[-1] == 1:
-        los.pop()
-    return [slice(lo, hi) for lo, hi in zip(los, los[1:] + [stop])]
+    """Consecutive slices of _PIECE rows, the last one shorter, that cover start:stop."""
+    return [slice(lo, min(lo + _PIECE, stop)) for lo in range(start, stop, _PIECE)]
 
 
 def _check_k(k) -> None:

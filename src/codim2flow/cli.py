@@ -366,7 +366,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, json.JSONDecodeError, InvalidK, ResolutionTooCoarse, BracketInvalid) as exc:
+    except (ValueError, json.JSONDecodeError, OSError, InvalidK, ResolutionTooCoarse,
+            BracketInvalid) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -26,9 +26,6 @@ def random_frame_fields(rng, count):
     return h, a, b, c
 
 
-# rows per slice of a sweep: each slice draws its own states, evaluated a piece at a time
-_CHUNK = 1 << 16
-
 # tolerance of each property
 _TOLERANCE = {
     "simons_closed_vs_tensor": 1e-12, "gauss_identity": 1e-13, "r2_cauchy_schwarz": 1e-13,
@@ -75,18 +72,16 @@ def _worst(parts):
 def _sweep(seed, sweep, count, draw, evaluate):
     """Worst value and witness of each property of one sweep over count rows.
 
-    Slice j of sweep takes its states, at most _CHUNK rows, from draw(rng, rows)
-    with rng = default_rng([seed, sweep, j]), so no state outlives its slice, and
-    evaluate(*states) maps each property to one piece's (worst, witness).
+    Each _pieces(count) piece takes its states from draw(rng, rows), all from
+    rng = default_rng([seed, sweep]), so no state outlives its piece and a
+    larger count only appends pieces; evaluate(*states) maps each property to
+    the piece's (worst, witness).
     """
+    rng = np.random.default_rng([seed, sweep])
     parts = {}
-    for j, lo in enumerate(range(0, count, _CHUNK)):
-        rows = min(_CHUNK, count - lo)
-        states = draw(np.random.default_rng([seed, sweep, j]), rows)
-        for s in _pieces(rows):
-            for name, part in evaluate(*(x[s] for x in states)).items():
-                parts.setdefault(name, []).append(part)
-        del states  # before the next slice's draw, which would otherwise meet it
+    for s in _pieces(count):
+        for name, part in evaluate(*draw(rng, s.stop - s.start)).items():
+            parts.setdefault(name, []).append(part)
     return {name: _worst(p) for name, p in parts.items()}
 
 
@@ -94,8 +89,8 @@ def identity_report(seed: int, count: int) -> dict:
     """Run every sweep at the given sample count; 0 gives an empty report, < 0 a ValueError.
 
     The frame-invariance and reaction sweeps take max(count // 10, 100) rows.
-    The report depends on seed, count and _CHUNK, and memory on _CHUNK and
-    the piece size alone.
+    The report depends on seed, count and the piece size, and memory on the
+    piece size alone.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")

@@ -40,7 +40,6 @@ _N_LOW = 6
 _N_HIGH = _N_JET - _N_LOW
 _MOM_DEG = 8  # moments x0^i x1^j with i, j <= 8 cover all products of two basis terms
 _RHS_DEG = 4  # right-hand sides pair y with basis terms only
-_JET_DIAG = np.arange(_N_JET)
 # flat moment index of each normal-matrix entry, then of each right-hand side
 _JET_GATHER = np.concatenate([
     (_JET_EXP[:, None, 0] + _JET_EXP[None, :, 0]) * (_MOM_DEG + 1)
@@ -48,10 +47,6 @@ _JET_GATHER = np.concatenate([
     (_MOM_DEG + 1 + np.arange(2)[:, None] * (_RHS_DEG + 1) + _JET_EXP[None, :, 0]) * (_MOM_DEG + 1)
     + _JET_EXP[None, :, 1],
 ])
-_JET_KEEP_QUAD = np.zeros((_N_JET + 2, _N_JET, 1), dtype=bool)
-_JET_KEEP_QUAD[_N_HIGH:, _N_HIGH:] = True
-_JET_EYE_HIGH = np.zeros((_N_JET + 2, _N_JET, 1))
-_JET_EYE_HIGH[:_N_HIGH, :_N_HIGH, 0] = np.eye(_N_HIGH)
 # smallest Cholesky pivot, relative to its diagonal entry, of a full-rank fit
 _PIVOT_RTOL = 1e-12
 
@@ -333,41 +328,42 @@ def _jet_fit_block(x, y, w, full, work):
     np.copyto(mom_t, mom.reshape(b, -1).T)
     # normal matrix with the two right-hand sides as extra rows, vertex last
     np.take(mom_t, _JET_GATHER, axis=0, out=a, mode="clip")
-    coef, ok = _jet_solve(a, full)
-    redo = full & ~ok
+    # the low-order terms come last, so the trailing block is the quadratic
+    # fit's own augmented normal matrix
+    quad = a[_N_HIGH:, _N_HIGH:].copy()
+    coef, ok = _jet_solve(a)
+    # small stencils take the quadratic fit, and so does one that cannot
+    # separate the cubic and quartic terms (a grid row with four distinct
+    # abscissae, say)
+    redo = ~(full & ok)
     if redo.any():
-        # a stencil that cannot separate the cubic and quartic terms (a grid
-        # row with four distinct abscissae, say) takes the quadratic fit
-        coef[redo], ok[redo] = _jet_solve(mom_t[:, redo][_JET_GATHER],
-                                          np.zeros(int(redo.sum()), dtype=bool))
+        coef[redo], ok[redo] = _jet_solve(quad[:, :, redo])
     if not ok.all():
         raise DegenerateNeighborhood("rank-deficient jet fit")
     return coef
 
 
-def _jet_solve(a: np.ndarray, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky solve, in place, of the (17, 15, b) augmented normal matrix.
+def _jet_solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky solve, in place, of the (m + 2, m, b) augmented normal matrix.
 
-    Returns the (b, 6, 2) low-order coefficients and whether each vertex's
-    normal matrix had full rank.
+    The last six of the m unknowns are the low-order ones.  Returns their
+    (b, 6, 2) coefficients and whether each vertex's normal matrix had
+    full rank.
     """
-    fallback = np.flatnonzero(~full)
-    if fallback.size:
-        # an identity block decouples the cubic and quartic unknowns: the
-        # quadratic unknowns then solve exactly the 6-term normal equations
-        a[:, :, fallback] = np.where(_JET_KEEP_QUAD, a[:, :, fallback], _JET_EYE_HIGH)
-    diag = a[_JET_DIAG, _JET_DIAG]
+    m = a.shape[1]
+    idx = np.arange(m)
+    diag = a[idx, idx]
     with np.errstate(invalid="ignore", divide="ignore"):
         # left-looking Cholesky; the extra rows come out forward-solved
-        for j in range(_N_JET):
+        for j in range(m):
             a[j:, j] -= np.einsum("ikv,kv->iv", a[j:, :j], a[j, :j])
             np.sqrt(a[j, j], out=a[j, j])
             a[j + 1:, j] /= a[j, j]
-        ok = np.all(a[_JET_DIAG, _JET_DIAG] ** 2 > _PIVOT_RTOL * diag, axis=0)
+        ok = np.all(a[idx, idx] ** 2 > _PIVOT_RTOL * diag, axis=0)
         # back-substitution: the low-order unknowns come last, so they need
         # only their own rows of the factor
-        low = a[_N_HIGH:_N_JET, _N_HIGH:]
-        c = a[_N_JET:, _N_HIGH:].copy()
+        low = a[m - _N_LOW:m, m - _N_LOW:]
+        c = a[m:, m - _N_LOW:].copy()
         for j in range(_N_LOW - 1, -1, -1):
             c[:, j] /= low[j, j]
             c[:, :j] -= low[j, :j] * c[:, j, None]
@@ -427,8 +423,8 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     r2 = np.einsum("nki,nki->nk", d, d)
     # weight scale from the 2-ring spread; keeps the whole stencil active
     # even when the flow compresses neighborhoods anisotropically
-    sigma = 0.75 * np.sum(np.sqrt(r2) * mask2, axis=1) / np.maximum(mask2.sum(axis=1), 1)
-    sigma = np.maximum(sigma, 1e-300)
+    counts = mask2.sum(axis=1)
+    sigma = np.maximum(0.75 * np.sum(np.sqrt(r2) * mask2, axis=1) / counts, 1e-300)
     w = np.exp(-r2 / (2.0 * sigma[:, None] ** 2)) * mask2
 
     cov = d.transpose(0, 2, 1) @ (d * w[:, :, None])
@@ -441,7 +437,6 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
         comp = np.take_along_axis(basis, np.argmax(np.abs(basis), axis=1)[:, None, :], axis=1)
         basis *= np.where(comp >= 0, 1.0, -1.0)
 
-    counts = mask2.sum(axis=1)
     # quartic where the stencil carries enough effective weight; plain
     # quadratic where it does not (small 2-rings, collapsed weights)
     eff = w.sum(axis=1) ** 2 / np.maximum((w * w).sum(axis=1), 1e-300)

@@ -251,11 +251,14 @@ def _one_shot_samples(grid, random_samples, seed):
     return a, b, c, rng.choice(a.size, size=min(2000, a.size), replace=False)
 
 
-def test_pieces_cover_the_rows_without_a_one_row_tail(monkeypatch):
+def test_pieces_cover_the_rows_in_order(monkeypatch):
     monkeypatch.setattr(certifier, "_PIECE", 7)
-    assert certifier._pieces(15) == [slice(0, 7), slice(7, 15)]
-    assert certifier._pieces(16, 3) == [slice(3, 10), slice(10, 16)]
-    assert certifier._pieces(1) == [slice(0, 1)] and certifier._pieces(4, 4) == []
+    # a one-row tail is a piece of its own
+    assert certifier._pieces(15) == [slice(0, 7), slice(7, 14), slice(14, 15)]
+    assert certifier._pieces(17, 3) == [slice(3, 10), slice(10, 17)]
+    for stop, start in ((15, 0), (17, 3), (22, 0), (1, 0), (4, 4)):
+        rows = [i for s in certifier._pieces(stop, start) for i in range(s.start, s.stop)]
+        assert rows == list(range(start, stop))
 
 
 @pytest.mark.parametrize("piece", [1 << 13, 7])

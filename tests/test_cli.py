@@ -77,8 +77,9 @@ def test_identity_report_is_fixed_by_its_seed():
 
 
 def test_identity_report_slices_extend_the_sweep(monkeypatch):
-    # slice j draws from its own stream, so count 140 sweeps count 70's ten slices and ten more
-    monkeypatch.setattr(identities, "_CHUNK", 7)
+    # each sweep draws one stream a piece at a time, so count 140 sweeps count 70's
+    # ten pieces and ten more
+    monkeypatch.setattr(certifier, "_PIECE", 7)
     short, long = ({p["property"]: p["worst"] for p in identity_report(seed=3, count=n)["properties"]}
                    for n in (70, 140))
     assert short.keys() == long.keys()
@@ -86,13 +87,13 @@ def test_identity_report_slices_extend_the_sweep(monkeypatch):
 
 
 def test_nan_in_last_chunk_fails_the_sweep(monkeypatch):
-    # a NaN deviation in the last chunk must not be dropped when chunk maxima combine
-    monkeypatch.setattr(identities, "_CHUNK", 7)
+    # a NaN deviation in the last piece must not be dropped when piece maxima combine
+    monkeypatch.setattr(certifier, "_PIECE", 7)
     orig = identities.closed_z_batch
 
     def nan_on_last_row(h, a, b, c):
         z = orig(h, a, b, c)
-        if h.size < 7:  # 5003 rows: only the last chunk is short
+        if h.size < 7:  # 5003 rows: only the last piece is short
             z[-1] = np.nan
         return z
 
@@ -118,7 +119,7 @@ def test_gradient_sweep_matches_sweep_inequalities():
 
 
 def test_identity_sweep_memory_is_bounded():
-    # each slice draws its own states, so the peak does not grow with the count
+    # each piece draws its own states, so the peak does not grow with the count
     peaks = []
     for count in (1 << 17, 10 ** 6):
         tracemalloc.start()
@@ -128,16 +129,8 @@ def test_identity_sweep_memory_is_bounded():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 5e6, f"traced peaks {peaks[0] / 1e6:.1f} and {peaks[1] / 1e6:.1f} MB"
-    # one slice's states and one piece's temporaries
-    assert peaks[1] < 15e6, f"traced peak {peaks[1] / 1e6:.1f} MB at 10^6 rows"
-
-
-@pytest.mark.parametrize("piece", [identities._CHUNK, 7])
-def test_identity_report_does_not_depend_on_the_piece_size(monkeypatch, piece):
-    # _CHUNK evaluates each slice at once; 3004 rows leave a one-row piece of 7 to fold
-    expected = json.dumps(identity_report(seed=3, count=3004))
-    monkeypatch.setattr(certifier, "_PIECE", piece)
-    assert json.dumps(identity_report(seed=3, count=3004)) == expected
+    # one piece's states and temporaries: 4.9 MB traced at 10^6 rows, plus 2 MB of margin
+    assert peaks[1] < 7e6, f"traced peak {peaks[1] / 1e6:.1f} MB at 10^6 rows"
 
 
 def test_cmd_identities_exit_codes(tmp_path, capsys, monkeypatch):
@@ -436,6 +429,18 @@ def test_cmd_rescale_from_run_dir(tmp_path):
 
 def test_cmd_flow_unknown_scenario_is_config_error():
     assert main(["flow", "definitely_missing"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--out", "file", "identities", "--count", "10"],
+                                  ["--out", "file", "flow", "sphere_r1"], ["flow", "dir"]],
+                         ids=["out_is_file", "flow_out_is_file", "scenario_is_dir"])
+def test_os_errors_are_config_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").touch()
+    (tmp_path / "dir").mkdir()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_scenario_unknown_keys_are_config_errors(tmp_path):
