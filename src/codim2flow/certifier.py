@@ -315,7 +315,9 @@ def epsilon_z_scan(gamma: float, pinch_fraction: float, grid: int = 200,
 
     def ratio(x, w):
         gauss = (1 - 2 * x) / 4
-        return (2 * gauss * x - 2 * w * w) / (x + 2 * gamma * w)
+        # a negative gamma can zero the denominator
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (2 * gauss * x - 2 * w * w) / (x + 2 * gamma * w)
 
     # deterministic worst-direction slice: b = 0, w sweeps [0, x/2]
     x = np.linspace(x_max / grid, x_max, grid)

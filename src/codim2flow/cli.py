@@ -168,7 +168,6 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
     """
     sc = load_scenario(scenario)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     mesh = build_surface(sc)
     cfg = flow_config(sc)
 

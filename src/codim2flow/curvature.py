@@ -27,9 +27,11 @@ TOL_FRAME_REL = 1e-9
 class SpecialFrameState:
     """Second fundamental form reduced to the special orthonormal frame.
 
-    h is |H| (nonnegative); a, b, c are the traceless components. Canonical
-    representatives have a >= 0 and c >= 0, with c = 0 whenever the first
-    shape operator is umbilic to tolerance.
+    h is |H| (nonnegative); a, b, c are the traceless components.  The
+    special frame is fixed up to the order and signs of its vectors, which
+    change only the signs of a, b and c; the representative that
+    special_frame_fields returns has a, b, c >= 0, with c = 0 whenever the
+    first shape operator is umbilic to tolerance.
     """
 
     h: float
@@ -146,11 +148,15 @@ def special_frame_fields(comp: np.ndarray, mean_curv: np.ndarray):
     """Vectorized special-frame reduction for per-vertex mesh data.
 
     comp has shape (n, 2, 2, alpha) and mean_curv shape (n, 2).  Returns
-    arrays (h, a, b, c).  The normal frame is rotated so nu_1 = H/|H| and
-    the tangent frame to diagonalize the first shape operator, larger
-    eigenvalue first (a >= 0), with the second tangent vector flipped so
-    c >= 0.  Where the first shape operator is umbilic to tolerance the
-    tangent frame diagonalizes the second one instead: c = 0 and b >= 0.
+    arrays (h, a, b, c) with a, b, c >= 0.  With nu_1 = H/|H|, let (d1, e1)
+    and (d2, e2) be the traceless entries ((A_00 - A_11)/2, A_01) of A1 and
+    A2.  The tangent rotation by theta, (cos 2 theta, sin 2 theta) =
+    (d1, e1)/a, diagonalizes A1 with a = |(d1, e1)| and turns (d2, e2) into
+    b = |d2 d1 + e2 e1|/a, c = |e2 d1 - d2 e1|/a, taken in absolute value:
+    flipping nu_2 and then the second tangent vector maps (h, a, b, c) to
+    (h, a, -b, c), so the sign of b is no invariant, and neither is c's.
+    Where the first shape operator is umbilic to tolerance the tangent
+    frame diagonalizes the second one instead: b = |(d2, e2)| and c = 0.
     Entries with |H| <= TOL_H come back as NaN in (a, b, c) so callers can
     flag them rather than abort a whole mesh.
     """
@@ -158,31 +164,22 @@ def special_frame_fields(comp: np.ndarray, mean_curv: np.ndarray):
     mean_curv = np.asarray(mean_curv, dtype=float)
     h = np.hypot(mean_curv[:, 0], mean_curv[:, 1])
     good = h > TOL_H
-    e1 = np.zeros_like(mean_curv)
-    e1[good] = mean_curv[good] / h[good, None]
+    nu = np.zeros_like(mean_curv)
+    nu[good] = mean_curv[good] / h[good, None]
 
-    a1 = e1[:, 0, None, None] * comp[:, :, :, 0] + e1[:, 1, None, None] * comp[:, :, :, 1]
-    a2 = -e1[:, 1, None, None] * comp[:, :, :, 0] + e1[:, 0, None, None] * comp[:, :, :, 1]
-
-    theta = 0.5 * np.arctan2(2 * a1[:, 0, 1], a1[:, 0, 0] - a1[:, 1, 1])
-    ct, st = np.cos(theta), np.sin(theta)
-    # a = rho, the eigenvalue half-spread of A1 (>= 0 by construction)
-    a = np.hypot(0.5 * (a1[:, 0, 0] - a1[:, 1, 1]), a1[:, 0, 1])
-    # rotate A2 by the same tangent rotation
-    b = (0.5 * (a2[:, 0, 0] - a2[:, 1, 1])) * (ct * ct - st * st) + (a2[:, 0, 1]) * 2 * ct * st
-    c = -(0.5 * (a2[:, 0, 0] - a2[:, 1, 1])) * 2 * ct * st + a2[:, 0, 1] * (ct * ct - st * st)
-    c = np.abs(c)
+    a1 = nu[:, 0, None, None] * comp[:, :, :, 0] + nu[:, 1, None, None] * comp[:, :, :, 1]
+    a2 = -nu[:, 1, None, None] * comp[:, :, :, 0] + nu[:, 0, None, None] * comp[:, :, :, 1]
+    (d1, e1), (d2, e2) = ((0.5 * (m[:, 0, 0] - m[:, 1, 1]), m[:, 0, 1]) for m in (a1, a2))
+    a = np.hypot(d1, e1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.abs(d2 * d1 + e2 * e1) / a
+        c = np.abs(e2 * d1 - d2 * e1) / a
 
     scale = np.sqrt(np.einsum("nija,nija->n", comp, comp)) + h
     deg = a < TOL_FRAME_REL * scale
-    if np.any(deg):
-        b = np.where(deg, np.hypot(b, c), b)
-        c = np.where(deg, 0.0, c)
-
-    a = np.where(good, a, np.nan)
-    b = np.where(good, b, np.nan)
-    c = np.where(good, c, np.nan)
-    return h, a, b, c
+    b = np.where(deg, np.hypot(d2, e2), b)
+    c = np.where(deg, 0.0, c)
+    return h, *(np.where(good, x, np.nan) for x in (a, b, c))
 
 
 def field_scalars(h, a, b, c) -> dict:

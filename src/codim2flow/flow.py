@@ -103,10 +103,13 @@ class FlowConfig:
 
     def resolved_epsilon_z(self) -> float:
         if self.epsilon_z is None:
-            self.epsilon_z = epsilon_z_scan(self.gamma, self.pinch_fraction,
-                                            grid=100, random_samples=50_000, seed=0)
-        if not self.epsilon_z > 0:
-            raise EpsilonZNotPositive(f"epsilon_z = {self.epsilon_z}")
+            # the sampled floor depends on gamma and pinch_fraction alone
+            floor = epsilon_z_scan(self.gamma, self.pinch_fraction,
+                                   grid=100, random_samples=50_000, seed=0)
+            if not floor > 0:
+                raise ValueError(f"the sampled epsilon_z floor at gamma = {self.gamma}, "
+                                 f"pinch_fraction = {self.pinch_fraction} is {floor}, not positive")
+            self.epsilon_z = floor
         return self.epsilon_z
 
 

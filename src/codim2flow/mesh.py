@@ -408,8 +408,10 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     frames and the second fundamental form are that graph's exact ones at
     the vertex, from the fit's slope and second derivatives in closed form,
     so a covariance plane tilted against the surface needs no second fit.
-    Vertices whose 2-ring is too small for the quartic basis, or cannot
-    separate its terms, fall back to the plain quadratic fit.
+    The frames keep the signs eigh gives the eigenvectors: no field read
+    from them depends on those signs.  Vertices whose 2-ring is too small
+    for the quartic basis, or cannot separate its terms, fall back to the
+    plain quadratic fit.
     The mixed areas and the cotan velocity read the mesh's one triangle
     pass (triangle_areas).  Fills the mesh once, in place, and returns it.
     """
@@ -432,10 +434,6 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     eigval, eigvec = np.linalg.eigh(cov)             # ascending
     tangent = eigvec[:, :, 2:]                       # (n, 4, 2) top-2
     normal = eigvec[:, :, :2]
-    # deterministic eigenvector signs
-    for basis in (tangent, normal):
-        comp = np.take_along_axis(basis, np.argmax(np.abs(basis), axis=1)[:, None, :], axis=1)
-        basis *= np.where(comp >= 0, 1.0, -1.0)
 
     # quartic where the stencil carries enough effective weight; plain
     # quadratic where it does not (small 2-rings, collapsed weights)
@@ -466,23 +464,17 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
 
 
 def _polar_orthogonalize(mats: np.ndarray) -> np.ndarray:
-    """Closest orthogonal 2x2 matrices (rotation or reflection), closed form."""
-    a = mats[..., 0, 0]
-    b = mats[..., 0, 1]
-    c = mats[..., 1, 0]
-    d = mats[..., 1, 1]
-    det = a * d - b * c
-    # rotation branch: proportional to [[a+d, b-c], [c-b, a+d]]
-    rp = np.hypot(a + d, b - c)
-    rp = np.maximum(rp, 1e-300)
-    rot = np.stack([np.stack([(a + d) / rp, (b - c) / rp], axis=-1),
-                    np.stack([(c - b) / rp, (a + d) / rp], axis=-1)], axis=-2)
-    # reflection branch: proportional to [[a-d, b+c], [b+c, d-a]]
-    rm = np.hypot(a - d, b + c)
-    rm = np.maximum(rm, 1e-300)
-    ref = np.stack([np.stack([(a - d) / rm, (b + c) / rm], axis=-1),
-                    np.stack([(b + c) / rm, (d - a) / rm], axis=-1)], axis=-2)
-    return np.where((det >= 0)[..., None, None], rot, ref)
+    """Closest orthogonal 2x2 matrices, closed form: M + s cof M with unit columns.
+
+    s is the sign of det M (1 at det 0) and cof M = [[d, -c], [-b, a]] for
+    M = [[a, b], [c, d]], so M + cof M is a scaled rotation and M - cof M a
+    scaled reflection.
+    """
+    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+    s = np.where(det >= 0, 1.0, -1.0)[..., None, None]
+    out = mats + s * (mats[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    out /= np.maximum(np.hypot(out[..., 0, :], out[..., 1, :]), 1e-300)[..., None, :]
+    return out
 
 
 def _ring1_gradients(mesh: SurfaceMesh, diffs: np.ndarray) -> np.ndarray:
@@ -527,12 +519,9 @@ def shape_gradient_norm2(mesh: SurfaceMesh) -> np.ndarray:
         raise RuntimeError("recover_geometry must run first")
     idx1 = mesh._topo["ring1_idx"]
 
-    t_v = mesh.tangent[:, None, :, :]           # (n, 1, 4, 2)
-    t_u = mesh.tangent.take(idx1, axis=0)       # (n, k, 4, 2)
-    n_v = mesh.normal[:, None, :, :]
-    n_u = mesh.normal.take(idx1, axis=0)
-    mt = _polar_orthogonalize(np.einsum("nkia,nkib->nkab", np.broadcast_to(t_v, t_u.shape), t_u))
-    mn = _polar_orthogonalize(np.einsum("nkia,nkib->nkab", np.broadcast_to(n_v, n_u.shape), n_u))
+    # (n, k, 2, 2) overlaps of each vertex's (n, 4, 2) frames with its neighbours'
+    mt, mn = (_polar_orthogonalize(np.einsum("nia,nkib->nkab", basis, basis.take(idx1, axis=0)))
+              for basis in (mesh.tangent, mesh.normal))
 
     q_u = mesh.shape.take(idx1, axis=0)         # (n, k, 2, 2, 2)
     q_t = np.einsum("nkip,nkjq,nkab,nkpqb->nkija", mt, mt, mn, q_u)

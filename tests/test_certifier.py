@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction as F
 
@@ -353,6 +354,13 @@ def test_epsilon_z_scan_umbilic_free_slice_closed_form():
     x = np.array([0.05, 0.15, 0.25])
     pf = pinching_fields(1.0, np.sqrt(x / 2), 0.0, 0.0, gamma=1 / 30)
     assert pf["simons_z"] / pf["pinch_num"] == pytest.approx((1 - 2 * x) / 2, rel=1e-12)
+
+
+def test_epsilon_z_scan_at_negative_gamma_warns_of_nothing():
+    # at gamma = -1 the pinching numerator |Ac|^2 - 2 |K-perp| vanishes on the slice edge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert epsilon_z_scan(-1.0, 0.8, grid=100, random_samples=50_000, seed=0) > 0
 
 
 def test_epsilon_z_scan_validates_fraction():

@@ -578,10 +578,14 @@ def test_bad_run_values_are_config_errors(tmp_path, capsys, finished_run, file, 
                                  # JSON integers have no size limit; no float holds these
                                  {"stop_a2": 10 ** 400, "max_steps": 3},
                                  {"k": 10 ** 400, "max_steps": 3},
-                                 {"eps": 10 ** 400, "max_steps": 3}])
+                                 {"eps": 10 ** 400, "max_steps": 3},
+                                 # a sampled epsilon_z floor that is not positive
+                                 {"k": 3.0, "epsilon_z": "null", "max_steps": 3},
+                                 {"gamma": -3.0, "epsilon_z": "null", "max_steps": 3}])
 def test_bad_flow_config_values_are_config_errors(tmp_path, bad):
     cfg = tiny_scenario(tmp_path, **bad)
     assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 2
+    assert not (tmp_path / "runs").exists()
 
 
 def test_integral_float_flow_counts_read_as_integers():

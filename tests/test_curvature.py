@@ -109,7 +109,7 @@ def test_degenerate_mean_curvature_gives_nan_frame():
 
 def test_sign_convention_and_umbilic_branch(rng):
     for s in special_frames([random_shape_tensor(rng) for _ in range(200)]):
-        assert s.a >= 0 and s.c >= 0
+        assert s.a >= 0 and s.b >= 0 and s.c >= 0
     # umbilic A1: c must be zeroed by the A2-diagonalizing convention
     comp = np.zeros((2, 2, 2))
     comp[:, :, 0] = 1.3 * np.eye(2)
@@ -117,7 +117,7 @@ def test_sign_convention_and_umbilic_branch(rng):
     (s,) = special_frames([ShapeTensor(comp)])
     assert s.c == 0.0
     assert s.a >= 0.0
-    assert abs(s.b) == pytest.approx(math.hypot(0.4, 0.7), rel=1e-12)
+    assert s.b == pytest.approx(math.hypot(0.4, 0.7), rel=1e-12)
 
 
 def conjugate(t: ShapeTensor, r_tan, r_nor) -> ShapeTensor:
@@ -158,17 +158,37 @@ def test_reduction_reproduces_invariant_scalars(rng):
         assert abs(ss.r3) == pytest.approx(abs(ts.r3), rel=1e-11, abs=1e-10)
 
 
-def test_batched_frame_fields_match_scalar_path(rng):
-    tensors = [random_shape_tensor(rng) for _ in range(100)]
+def _angle_route(comp, mc):
+    """Special-frame reduction through the tangent angle theta = atan2(2 A1_01, A1_00 - A1_11) / 2.
+
+    Rotates the normal frame to nu_1 = H/|H|, then A2 by theta through its
+    cosine and sine; c in absolute value, b with its sign.  Umbilic A1 takes
+    b = |(b, c)| and c = 0.  Rows need |H| > TOL_H.
+    """
+    nu = mc / np.hypot(mc[:, 0], mc[:, 1])[:, None]
+    a1 = nu[:, 0, None, None] * comp[..., 0] + nu[:, 1, None, None] * comp[..., 1]
+    a2 = -nu[:, 1, None, None] * comp[..., 0] + nu[:, 0, None, None] * comp[..., 1]
+    theta = 0.5 * np.arctan2(2 * a1[:, 0, 1], a1[:, 0, 0] - a1[:, 1, 1])
+    ct, st = np.cos(theta), np.sin(theta)
+    a = np.hypot(0.5 * (a1[:, 0, 0] - a1[:, 1, 1]), a1[:, 0, 1])
+    d2 = 0.5 * (a2[:, 0, 0] - a2[:, 1, 1])
+    b = d2 * (ct * ct - st * st) + a2[:, 0, 1] * 2 * ct * st
+    c = np.abs(-d2 * 2 * ct * st + a2[:, 0, 1] * (ct * ct - st * st))
+    deg = a < 1e-9 * (np.sqrt(np.einsum("nija,nija->n", comp, comp)) + np.hypot(mc[:, 0], mc[:, 1]))
+    return a, np.where(deg, np.hypot(b, c), b), np.where(deg, 0.0, c)
+
+
+def test_closed_form_frame_fields_match_angle_route(rng):
+    tensors = [random_shape_tensor(rng) for _ in range(1000)]
+    umbilic = np.zeros((2, 2, 2))
+    umbilic[:, :, 0] = 1.3 * np.eye(2)
+    umbilic[:, :, 1] = [[0.4, 0.7], [0.7, -0.4]]
+    tensors.append(ShapeTensor(umbilic))
     comp = np.stack([t.components for t in tensors])
     mc = np.stack([t.mean_curvature for t in tensors])
-    h, a, b, c = special_frame_fields(comp, mc)
-    for i, t in enumerate(tensors):
-        (s,) = special_frames([t])  # a batch of one
-        assert h[i] == pytest.approx(s.h, rel=1e-12)
-        assert a[i] == pytest.approx(s.a, rel=1e-10, abs=1e-12)
-        assert abs(b[i]) == pytest.approx(abs(s.b), rel=1e-10, abs=1e-12)
-        assert c[i] == pytest.approx(s.c, rel=1e-10, abs=1e-12)
+    _, *got = special_frame_fields(comp, mc)
+    for x, y in zip(got, _angle_route(comp, mc)):
+        assert np.all(np.abs(x - np.abs(y)) <= 1e-13 * (1 + np.abs(y)))
 
 
 def test_umbilic_representative_matches_batched_path(rng):

@@ -10,6 +10,7 @@ from codim2flow.mesh import (
     SurfaceMesh,
     _inv_sqrt_2x2,
     _jet_fit,
+    _polar_orthogonalize,
     MIN_RING2,
     _build_topology,
     read_off4,
@@ -261,6 +262,60 @@ def test_frame_orthonormality(sphere4, pinched3):
         frames = np.concatenate([m.tangent, m.normal], axis=2)  # (n, 4, 4)
         eye = np.einsum("nia,nib->nab", frames, frames)
         assert np.abs(eye - np.eye(4)).max() < 1e-12
+
+
+def _recovered_fields(m):
+    """Every field of a recovered mesh that the flow and its monitors read."""
+    grad = vertex_gradients(m, m.vertices)
+    return {"frame_h": m.frame_h, "frame_a": m.frame_a, "frame_b": m.frame_b,
+            "frame_c": m.frame_c, "norm_a2": m.norm_a2(), "mean_curv_jet": m.mean_curv_jet,
+            "mean_curv_cot": m.mean_curv_cot, "vertex_area": m.vertex_area,
+            "shape_gradient_norm2": shape_gradient_norm2(m),
+            "vertex_gradients_norm2": np.einsum("nap,nap->np", grad, grad)}
+
+
+def test_recovery_does_not_depend_on_eigenvector_signs(sphere4, torus48, pinched3, monkeypatch):
+    # eigh fixes each eigenvector up to sign; flipping random columns of
+    # its frames must leave every recovered field bit for bit the same
+    eigh = np.linalg.eigh
+    for m in (sphere4, torus48, pinched3):
+        ref = _recovered_fields(m)
+        for seed in range(2):
+            flips = np.random.default_rng(seed).choice([-1.0, 1.0], size=(m.n_vertices, 1, 4))
+            assert (flips < 0).any()
+
+            def flipped_eigh(cov, flips=flips):
+                w, v = eigh(cov)
+                return w, v * flips
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", flipped_eigh)
+                got = _recovered_fields(recover_geometry(m.with_vertices(m.vertices)))
+            for key, value in ref.items():
+                assert np.array_equal(got[key], value, equal_nan=True), key
+
+
+def _two_branch_polar(mats):
+    """Closest orthogonal 2 x 2 matrices as both the rotation and the reflection, picked by det."""
+    a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+    rp = np.maximum(np.hypot(a + d, b - c), 1e-300)
+    rot = np.stack([np.stack([(a + d) / rp, (b - c) / rp], axis=-1),
+                    np.stack([(c - b) / rp, (a + d) / rp], axis=-1)], axis=-2)
+    rm = np.maximum(np.hypot(a - d, b + c), 1e-300)
+    ref = np.stack([np.stack([(a - d) / rm, (b + c) / rm], axis=-1),
+                    np.stack([(b + c) / rm, (d - a) / rm], axis=-1)], axis=-2)
+    return np.where((a * d - b * c >= 0)[..., None, None], rot, ref)
+
+
+def test_polar_orthogonalize_is_the_two_branch_formula(rng):
+    mats = rng.standard_normal((20000, 2, 2))
+    # integer rows: ties, zero entries, det 0 and the zero matrix
+    mats[:2000] = rng.integers(-2, 3, (2000, 2, 2))
+    mats[0] = 0.0
+    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+    assert (det[1:2000] == 0).sum() > 100 and (det < 0).any()
+    got = _polar_orthogonalize(mats.reshape(100, 200, 2, 2)).reshape(-1, 2, 2)
+    assert np.array_equal(got, _two_branch_polar(mats))
 
 
 def test_inv_sqrt_2x2_matches_eigh(rng):

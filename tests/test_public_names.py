@@ -3,8 +3,9 @@
 A public top-level name counts as used when some module of the package
 reads it outside its own definition (an import alone does not count), or
 when README.md names it in backticks.  A name that only tests call is
-dead weight in the package.  Likewise every module-level import must be
-read in its own module.
+dead weight in the package.  A private top-level function, class or
+constant must be read somewhere in the package, whatever README says.
+Likewise every module-level import must be read in its own module.
 """
 
 import ast
@@ -63,3 +64,27 @@ def test_module_level_imports_are_read(module):
             imported |= {a.asname or a.name for a in node.names}
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert sorted(imported - read) == [], f"{module}: imports that nothing in it reads"
+
+
+def _private_definitions(tree):
+    """(name, node) of each module-level function, class and assigned name that starts with one _."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_private_names_are_read_in_the_package(module):
+    # a helper that its last caller left behind; tests reading it do not count
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    unread = [name for name, node in _private_definitions(trees[module])
+              if not any(name in _names_read(tree, skip=node if other == module else None)
+                         for other, tree in trees.items())]
+    assert unread == [], f"{module}: private names that nothing in src/ reads"
