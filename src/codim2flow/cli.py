@@ -170,6 +170,10 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
     out = Path(out_dir)
     mesh = build_surface(sc)
     cfg = flow_config(sc)
+    # the last config check, then the run directory: a bad --out fails
+    # before the flow, and a bad config leaves no directory
+    cfg.resolved_epsilon_z()
+    out.mkdir(parents=True, exist_ok=True)
 
     result = run_flow(mesh, cfg)
     trace = result.trace

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .mesh import (
     SurfaceMesh,
+    centroid_offset,
     mixed_voronoi_areas,
     recover_geometry,
     shape_gradient_norm2,
@@ -355,11 +356,7 @@ def step_mcf(mesh: SurfaceMesh, cfg: FlowConfig) -> tuple[SurfaceMesh, float]:
     nor = mesh.normal
     shift = np.zeros_like(mesh.vertices)
     if cfg.redistribution > 0:
-        topo = mesh._topo
-        idx1, mask1 = topo["ring1_idx"], topo["ring1_mask"]
-        cent = (mesh.vertices.take(idx1, axis=0) * mask1[:, :, None]).sum(axis=1) \
-            / mask1.sum(axis=1)[:, None]
-        g = cent - mesh.vertices
+        g = centroid_offset(mesh)
         shift = cfg.redistribution * (g - _normal_part(nor, g))
     for _ in range(10):
         disp, it = _crank_nicolson_displacement(mesh, dt)

@@ -54,9 +54,11 @@ _PIVOT_RTOL = 1e-12
 class SurfaceMesh:
     """Closed triangle mesh in R^4 with per-vertex geometry caches.
 
-    Topology (adjacency, rings, padded index tables) is validated and built
-    once at construction and shared by meshes derived via with_vertices;
-    position-dependent caches are filled by recover_geometry.
+    Topology is validated and built once at construction and shared by
+    meshes derived via with_vertices: the 1-ring as one (L, n) table padded
+    with each vertex itself, the corner cotangents opposite each of its
+    edges, the valences, and the masked 2-ring.  Position-dependent caches
+    are filled by recover_geometry.
     """
 
     def __init__(self, vertices, triangles, _topology=None):
@@ -140,12 +142,6 @@ class SurfaceMesh:
         return math.atan2(1.0, float(np.max(self._tri[2])))
 
 
-def _row_slots(rows, n_rows):
-    """Each entry's place in its row for ascending row numbers, and the widest row."""
-    counts = np.bincount(rows, minlength=n_rows)
-    return np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts), int(counts.max())
-
-
 def _build_topology(n_vertices: int, triangles: np.ndarray) -> dict:
     m = triangles.shape[0]
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= n_vertices:
@@ -156,13 +152,18 @@ def _build_topology(n_vertices: int, triangles: np.ndarray) -> dict:
         raise NonManifoldMesh("mesh has isolated vertices")
 
     # directed edges as sorted codes src * n + dst: a CSR table of each
-    # vertex's 1-ring, since every edge of a closed mesh runs both ways
-    code = np.sort((triangles * n_vertices + triangles[:, [1, 2, 0]]).ravel())
+    # vertex's 1-ring, since every edge of a closed mesh runs both ways.
+    # Edge 3 t + i is the one opposite corner i of triangle t, so order
+    # also indexes the flat corner cotangents
+    code = (triangles[:, [1, 2, 0]] * n_vertices + triangles[:, [2, 0, 1]]).ravel()
+    order = np.argsort(code)
+    code = code[order]
     if (code[1:] == code[:-1]).any():
         raise NonManifoldMesh("duplicate directed edge: non-manifold or inconsistently oriented")
     src, dst = np.divmod(code, n_vertices)
     rev = dst * n_vertices + src
-    found = code.take(np.searchsorted(code, rev), mode="clip") == rev
+    twin = np.searchsorted(code, rev)
+    found = code.take(twin, mode="clip") == rev
     if not found.all():
         raise NonManifoldMesh(f"mesh has {int(np.count_nonzero(~found))} boundary edges")
 
@@ -171,14 +172,19 @@ def _build_topology(n_vertices: int, triangles: np.ndarray) -> dict:
         raise NonManifoldMesh(
             f"Euler characteristic {n_vertices - n_edges + m} not a sphere or torus")
 
-    # ring rows padded with n; the extra row n is all padding
-    slot, width = _row_slots(src, n_vertices)
-    padded = np.full((n_vertices + 1, width), n_vertices)
-    padded[src, slot] = dst
-    ring1 = padded[:-1]
+    # 1-ring columns padded with the vertex itself, so x[ring1] - x is 0 there
+    valence = np.bincount(src, minlength=n_vertices)
+    slot = np.arange(code.size) - np.repeat(np.cumsum(valence) - valence, valence)
+    ring1 = np.tile(np.arange(n_vertices), (int(valence.max()), 1))
+    ring1[slot, src] = dst
+    # the cotangents opposite each slot's edge, in its triangle and its
+    # reverse's; padding reads the 0 at 3 m
+    ring1_cot = np.full((2,) + ring1.shape, 3 * m)
+    ring1_cot[:, slot, src] = order, order[twin]
     # 2-ring: the 1-ring and its members' 1-rings, less the vertex itself;
     # repeats are blanked between two sorts (np.unique would import numpy.ma)
-    ring2 = np.concatenate([ring1, padded[ring1].reshape(n_vertices, -1)], axis=1)
+    rows = ring1.T
+    ring2 = np.concatenate([rows, rows[rows].reshape(n_vertices, -1)], axis=1)
     ring2[ring2 == np.arange(n_vertices)[:, None]] = n_vertices
     ring2.sort(axis=1)
     ring2[:, 1:][ring2[:, 1:] == ring2[:, :-1]] = n_vertices
@@ -189,23 +195,25 @@ def _build_topology(n_vertices: int, triangles: np.ndarray) -> dict:
         raise DegenerateNeighborhood(
             f"vertex {bad} has only {counts2[bad]} 2-ring neighbors (< {MIN_RING2})")
     ring2 = ring2[:, :counts2.max()]
-    # the cotan stiffness as an ordered gather: column v lists v's edge
-    # terms in the order a scatter over the corner-opposite edge ends (all
-    # j ends, then all k ends) adds them, padded with v itself and weight 0
-    j, k = triangles[:, [1, 2, 0]].ravel(), triangles[:, [2, 0, 1]].ravel()
-    ends = np.concatenate([j, k])
-    order = np.argsort(ends, kind="stable")
-    slot, width = _row_slots(ends[order], n_vertices)
-    stiff_nbr = np.tile(np.arange(n_vertices), (width, 1))
-    stiff_nbr[slot, ends[order]] = np.concatenate([k, j])[order]
-    stiff_term = np.full(stiff_nbr.shape, 6 * m, dtype=np.int32)
-    stiff_term[slot, ends[order]] = order
     return {
-        "n_edges": n_edges,
-        "ring1_idx": np.where(ring1 < n_vertices, ring1, 0), "ring1_mask": ring1 < n_vertices,
+        "n_edges": n_edges, "ring1": ring1, "ring1_cot": ring1_cot, "valence": valence,
         "ring2_idx": np.where(ring2 < n_vertices, ring2, 0), "ring2_mask": ring2 < n_vertices,
-        "stiff_nbr": stiff_nbr, "stiff_term": stiff_term,
     }
+
+
+def _ring1_differences(mesh: SurfaceMesh, x: np.ndarray) -> np.ndarray:
+    """x[k] - x[v] over each vertex v's 1-ring k for (n, ...) vertex values x.
+
+    Returns (L, n, ...), L the largest valence; a padded slot is exactly 0.
+    """
+    d = x.take(mesh._topo["ring1"], axis=0)
+    d -= x
+    return d
+
+
+def centroid_offset(mesh: SurfaceMesh) -> np.ndarray:
+    """(n, 4) offsets from each vertex to the centroid of its 1-ring."""
+    return _ring1_differences(mesh, mesh.vertices).sum(axis=0) / mesh._topo["valence"][:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +239,22 @@ def stiffness_operator(mesh: SurfaceMesh):
     (A x)_j = (1/2) sum over the edges (j, k) of (cot alpha + cot beta)(x_j - x_k),
     the angles opposite the edge.  A is symmetric and positive semidefinite,
     and Delta_g F = -A F / (mixed area).  product(x) returns A x for (n, p)
-    vertex values x.  It gathers each vertex's terms from the topology's
-    stiffness tables and sums them over the leading axis, which adds them
-    one row after another in the tables' order: the order of a scatter over
-    the corner-opposite edges, so A x rounds as that scatter does.
+    vertex values x, gathering each edge's weight and difference once per
+    end from the 1-ring table.
     """
     mesh.triangle_areas()
-    cots = mesh._tri[2].ravel()
-    nbr = mesh._topo["stiff_nbr"]
-    # corner i's cotangent weights the opposite edge at both its ends
-    w = np.concatenate([cots, cots, [0.0]]).take(mesh._topo["stiff_term"])
+    w = 0.5 * np.append(mesh._tri[2], 0.0).take(mesh._topo["ring1_cot"]).sum(axis=0)
 
     def product(x):
-        t = x.take(nbr, axis=0)
-        t -= x
+        t = _ring1_differences(mesh, x)
         t *= w[:, :, None]
-        return -0.5 * t.sum(axis=0)
+        return -t.sum(axis=0)
 
-    return product, 0.5 * w.sum(axis=0)
+    return product, w.sum(axis=0)
 
 
 def _cotan_mean_curvature(mesh: SurfaceMesh) -> np.ndarray:
     """Delta_g F per vertex, over the mixed areas: the discrete mean curvature vector in R^4."""
-    # -(-acc / 2) / area rounds exactly as acc / (2 area): both scalings are by powers of two
     product, _ = stiffness_operator(mesh)
     return -product(mesh.vertices) / np.maximum(mesh.vertex_area, 1e-300)[:, None]
 
@@ -478,18 +479,14 @@ def _polar_orthogonalize(mats: np.ndarray) -> np.ndarray:
 
 
 def _ring1_gradients(mesh: SurfaceMesh, diffs: np.ndarray) -> np.ndarray:
-    """Least-squares tangent gradients from (n, k, p) 1-ring differences; (n, 2, p).
+    """Least-squares tangent gradients from (L, n, p) 1-ring differences; (n, 2, p).
 
-    Fits over each vertex's 1-ring in its tangent coordinates; padded ring
-    slots carry zero weight.
+    Fits over each vertex's 1-ring in its tangent coordinates; a padded
+    slot's offset is zero, so it adds nothing to either side of the fit.
     """
-    topo = mesh._topo
-    idx1, mask1 = topo["ring1_idx"], topo["ring1_mask"]
-    d = mesh.vertices.take(idx1, axis=0) - mesh.vertices[:, None, :]
-    x = np.einsum("nki,nia->nka", d, mesh.tangent)
-    w = mask1.astype(float)
-    g2 = np.einsum("nk,nka,nkb->nab", w, x, x) + 1e-300 * np.eye(2)
-    rhs = np.einsum("nka,nkp->nap", x * w[:, :, None], diffs)
+    x = np.einsum("lni,nia->lna", _ring1_differences(mesh, mesh.vertices), mesh.tangent)
+    g2 = np.einsum("lna,lnb->nab", x, x) + 1e-300 * np.eye(2)
+    rhs = np.einsum("lna,lnp->nap", x, diffs)
     return np.linalg.solve(g2, rhs)
 
 
@@ -503,8 +500,7 @@ def vertex_gradients(mesh: SurfaceMesh, values: np.ndarray) -> np.ndarray:
         raise RuntimeError("recover_geometry must run first")
     squeeze = values.ndim == 1
     vals = values[:, None] if squeeze else values
-    idx1 = mesh._topo["ring1_idx"]
-    grad = _ring1_gradients(mesh, vals.take(idx1, axis=0) - vals[:, None, :])
+    grad = _ring1_gradients(mesh, _ring1_differences(mesh, vals))
     return grad[:, :, 0] if squeeze else grad
 
 
@@ -517,19 +513,19 @@ def shape_gradient_norm2(mesh: SurfaceMesh) -> np.ndarray:
     """
     if not mesh.geometry_recovered:
         raise RuntimeError("recover_geometry must run first")
-    idx1 = mesh._topo["ring1_idx"]
+    ring1 = mesh._topo["ring1"]
 
-    # (n, k, 2, 2) overlaps of each vertex's (n, 4, 2) frames with its neighbours'
-    mt, mn = (_polar_orthogonalize(np.einsum("nia,nkib->nkab", basis, basis.take(idx1, axis=0)))
+    # (L, n, 2, 2) overlaps of each vertex's (n, 4, 2) frames with its neighbours'
+    mt, mn = (_polar_orthogonalize(np.einsum("nia,lnib->lnab", basis, basis.take(ring1, axis=0)))
               for basis in (mesh.tangent, mesh.normal))
 
-    q_u = mesh.shape.take(idx1, axis=0)         # (n, k, 2, 2, 2)
-    q_t = np.einsum("nkip,nkjq,nkab,nkpqb->nkija", mt, mt, mn, q_u)
-    dq = q_t - mesh.shape[:, None, :, :, :]
+    q_u = mesh.shape.take(ring1, axis=0)        # (L, n, 2, 2, 2)
+    q_t = np.einsum("lnip,lnjq,lnab,lnpqb->lnija", mt, mt, mn, q_u)
+    dq = q_t - mesh.shape
 
     # 6 independent components with multiplicities (1, 2, 1) per normal slot
-    comps = np.stack([dq[:, :, 0, 0, 0], dq[:, :, 0, 1, 0], dq[:, :, 1, 1, 0],
-                      dq[:, :, 0, 0, 1], dq[:, :, 0, 1, 1], dq[:, :, 1, 1, 1]], axis=2)
+    comps = np.stack([dq[..., 0, 0, 0], dq[..., 0, 1, 0], dq[..., 1, 1, 0],
+                      dq[..., 0, 0, 1], dq[..., 0, 1, 1], dq[..., 1, 1, 1]], axis=2)
     grad = _ring1_gradients(mesh, comps)        # (n, 2, 6)
     mult = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
     return np.einsum("nap,p->n", grad * grad, mult)

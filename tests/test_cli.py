@@ -436,6 +436,11 @@ def test_cmd_flow_unknown_scenario_is_config_error():
                          ids=["out_is_file", "flow_out_is_file", "scenario_is_dir"])
 def test_os_errors_are_config_errors(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
+
+    def no_flow(*args):
+        raise AssertionError("the flow ran before the output directory was checked")
+
+    monkeypatch.setattr(cli, "run_flow", no_flow)
     (tmp_path / "file").touch()
     (tmp_path / "dir").mkdir()
     assert main(argv) == 2

@@ -88,3 +88,25 @@ def test_private_names_are_read_in_the_package(module):
               if not any(name in _names_read(tree, skip=node if other == module else None)
                          for other, tree in trees.items())]
     assert unread == [], f"{module}: private names that nothing in src/ reads"
+
+
+def test_topology_tables_are_read_in_the_package():
+    # a table that its last reader left behind; reads in tests do not count
+    trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    build = next(node for tree in trees for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_build_topology")
+    tables = {key.value for node in ast.walk(build)
+              if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict)
+              for key in node.value.keys}
+    assert tables
+
+    def subscripts(node):
+        for child in ast.iter_child_nodes(node):
+            if child is build:
+                continue
+            if isinstance(child, ast.Subscript) and isinstance(child.slice, ast.Constant):
+                yield child.slice.value
+            yield from subscripts(child)
+
+    read = {key for tree in trees for key in subscripts(tree)}
+    assert sorted(tables - read) == [], "topology tables that nothing in src/ reads"
