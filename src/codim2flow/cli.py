@@ -151,13 +151,13 @@ def _write_fields_csv(path, mesh, cfg: FlowConfig) -> None:
 
 
 def _write_rescaled(rescaled, out: Path) -> list:
-    """rescaled_NNN.csv per rescaled snapshot under out; returns the summary rows."""
+    """rescaled/rescaled_NNN.csv per rescaled snapshot under out; returns the summary rows."""
     rows = []
     for i, rs in enumerate(rescaled):
-        _write_vertex_csv(out / f"rescaled_{i:03d}.csv", list(_RESCALED_COLUMNS),
+        _write_vertex_csv(out / "rescaled" / f"rescaled_{i:03d}.csv", list(_RESCALED_COLUMNS),
                           [rs.fields[key] for key in _RESCALED_COLUMNS.values()])
         rows.append({"index": i, "step": rs.step, "t": rs.t, "lambda": rs.lam,
-                     "maxH": rs.max_h, "maxPinchNumerator": rs.max_pinch_numerator})
+                     "maxPinchNumerator": rs.max_pinch_numerator})
     return rows
 
 
@@ -193,7 +193,7 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
 
     try:
         rescaled = type_i_rescale(result.snapshots, result.stop_a2, cfg.gamma)
-        rescale_summary = _write_rescaled(rescaled, out / "rescaled")
+        rescale_summary = _write_rescaled(rescaled, out)
     except Codim2FlowError as exc:
         rescale_summary = {"skipped": str(exc)}
     _write_json(out / "rescale_summary.json", rescale_summary)
@@ -313,9 +313,9 @@ def _cmd_rescale(args) -> int:
         raise ValueError(f"cannot read flow run {run_dir}: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed flow run {run_dir}: {type(exc).__name__}: {exc}") from None
-    rescaled = type_i_rescale(snaps, stop_a2, cfg.gamma)
-    rows = _write_rescaled(rescaled, Path(args.out) if args.out else run_dir / "rescaled")
-    print(json.dumps(rows, indent=1))
+    out = Path(args.out) if args.out else run_dir
+    rows = _write_rescaled(type_i_rescale(snaps, stop_a2, cfg.gamma), out)
+    print(_write_json(out / "rescale_summary.json", rows))
     return 0
 
 

@@ -260,9 +260,8 @@ class StepInfo:
 
 def _h_gap(mesh: SurfaceMesh) -> float:
     """Largest relative gap between the jet-fit and the cotan |H| over the vertices."""
-    h_jet = np.linalg.norm(mesh.mean_curv_jet, axis=1)
     h_cot = np.linalg.norm(mesh.mean_curv_cot, axis=1)
-    return float(np.max(np.abs(h_jet - h_cot) / h_cot))
+    return float(np.max(np.abs(mesh.frame_h - h_cot) / h_cot))
 
 
 def _normal_part(nor: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -461,19 +460,20 @@ class RescaledSnapshot:
     step: int
     t: float
     lam: float             # max |H| before rescaling
-    max_h: float           # of the rescaled mesh; should sit near 1
     max_pinch_numerator: float
-    fields: dict           # pinching_fields of the rescaled mesh
+    fields: dict           # rescaled h, norm_acirc2, kperp_abs and pinch_num per vertex
 
 
 def type_i_rescale(snapshots: list, stop_a2: float, gamma: float) -> list:
-    """Parabolic rescaling of the snapshots around their curvature peak.
+    """Parabolic rescaling of the snapshots by their peak mean curvature.
 
-    Each snapshot is recentered at its maximum-|H| vertex and scaled by
-    that |H|, so the rescaled surface has unit peak mean curvature; the
-    pinching numerator |Ac|^2 + 2 gamma |K| of the rescaled mesh is the
-    roundness diagnostic.  Raises NoBlowupDetected unless the last snapshot
-    reached half the blowup threshold.
+    Each snapshot is scaled by lambda = max |H|, so the rescaled surface
+    has unit peak mean curvature; the pinching numerator |Ac|^2 + 2 gamma
+    |K| of the rescaled surface is the roundness diagnostic.  Recovery is
+    equivariant under translation and scaling, so the rescaled fields are
+    the snapshot's own: |H| over lambda and the quadratic fields over
+    lambda^2.  Raises NoBlowupDetected unless the last snapshot reached
+    half the blowup threshold.
     """
     if not snapshots:
         raise NoBlowupDetected("no snapshots")
@@ -482,18 +482,15 @@ def type_i_rescale(snapshots: list, stop_a2: float, gamma: float) -> list:
             f"last snapshot max|A|^2 = {snapshots[-1].max_a2:.3e} < half of {stop_a2:.3e}")
     out = []
     for snap in snapshots:
-        mesh = snap.mesh
-        recover_geometry(mesh)
-        i = int(np.nanargmax(mesh.frame_h))
-        lam = float(mesh.frame_h[i])
-        scaled = mesh.with_vertices(lam * (mesh.vertices - mesh.vertices[i]))
-        recover_geometry(scaled)
-        pf = pinching_fields(scaled.frame_h, scaled.frame_a, scaled.frame_b, scaled.frame_c, gamma)
+        mesh = recover_geometry(snap.mesh)
+        pf = pinching_fields(mesh.frame_h, mesh.frame_a, mesh.frame_b, mesh.frame_c, gamma)
+        lam = float(np.nanmax(pf["h"]))
         out.append(RescaledSnapshot(
             step=snap.step, t=snap.t, lam=lam,
-            max_h=float(np.nanmax(scaled.frame_h)),
-            max_pinch_numerator=float(np.nanmax(pf["pinch_num"])),
-            fields=pf,
+            # the expression of monitors' rescaledMaxAcirc2, so the two agree bit for bit
+            max_pinch_numerator=float(np.nanmax(pf["pinch_num"])) / lam ** 2,
+            fields={"h": pf["h"] / lam,
+                    **{key: pf[key] / lam ** 2 for key in ("norm_acirc2", "kperp_abs", "pinch_num")}},
         ))
     return out
 

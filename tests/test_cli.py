@@ -415,16 +415,21 @@ def test_every_artifact_ends_lines_with_lf_and_reads_back_exactly(tmp_path, monk
         assert off4[2 + nv:] == [f"3 {a} {b} {c}" for a, b, c in snap.mesh.triangles.tolist()]
 
 
-def test_cmd_rescale_from_run_dir(tmp_path):
+def test_cmd_rescale_from_run_dir(tmp_path, capsys):
+    # rescale reads the snapshots back from OFF4 and rewrites the flow's own files byte for byte
     cfg = tiny_scenario(tmp_path)
     out = tmp_path / "out"
     run_scenario(str(cfg), str(out), seed=0)
-    rc = main(["rescale", "--run", str(out)])
-    assert rc == 0
-    files = sorted((out / "rescaled").glob("rescaled_*.csv"))
-    assert files
-    header = files[0].read_text().splitlines()[0]
-    assert header == "vertex,h,acirc2,kperp_abs,pinch_num"
+    files = sorted((out / "rescaled").glob("rescaled_*.csv")) + [out / "rescale_summary.json"]
+    assert len(files) > 2
+    assert files[0].read_text().splitlines()[0] == "vertex,h,acirc2,kperp_abs,pinch_num"
+    written = {p: p.read_bytes() for p in files}
+    for p in files:
+        p.unlink()
+    capsys.readouterr()
+    assert main(["rescale", "--run", str(out)]) == 0
+    assert {p: p.read_bytes() for p in files} == written
+    assert capsys.readouterr().out == (out / "rescale_summary.json").read_text() + "\n"
 
 
 def test_cmd_flow_unknown_scenario_is_config_error():

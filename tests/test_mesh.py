@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from codim2flow.builders import _icosahedron, ellipsoid_plus_bump, icosphere, product_torus
-from codim2flow.curvature import field_scalars, special_frame_fields, tensor_z_batch
+from codim2flow.curvature import field_scalars, pinching_fields, special_frame_fields, tensor_z_batch
 from codim2flow.errors import DegenerateNeighborhood, NonManifoldMesh
 from codim2flow.mesh import (
     SurfaceMesh,
@@ -265,11 +265,16 @@ def test_frame_orthonormality(sphere4, pinched3):
         assert np.abs(eye - np.eye(4)).max() < 1e-12
 
 
+def _jet_mean_curvature(m):
+    """(n, 4) jet-fit mean curvature vector: the normal frame times the trace of the shape."""
+    return np.einsum("nia,na->ni", m.normal, m.shape[:, 0, 0] + m.shape[:, 1, 1])
+
+
 def _recovered_fields(m):
-    """Every field of a recovered mesh that the flow and its monitors read."""
+    """Every field of a recovered mesh that the flow and its monitors read, and the jet H vector."""
     grad = vertex_gradients(m, m.vertices)
     return {"frame_h": m.frame_h, "frame_a": m.frame_a, "frame_b": m.frame_b,
-            "frame_c": m.frame_c, "norm_a2": m.norm_a2(), "mean_curv_jet": m.mean_curv_jet,
+            "frame_c": m.frame_c, "norm_a2": m.norm_a2(), "mean_curv_jet": _jet_mean_curvature(m),
             "mean_curv_cot": m.mean_curv_cot, "vertex_area": m.vertex_area,
             "shape_gradient_norm2": shape_gradient_norm2(m),
             "vertex_gradients_norm2": np.einsum("nap,nap->np", grad, grad)}
@@ -294,6 +299,34 @@ def test_recovery_does_not_depend_on_eigenvector_signs(sphere4, torus48, pinched
                 got = _recovered_fields(recover_geometry(m.with_vertices(m.vertices)))
             for key, value in ref.items():
                 assert np.array_equal(got[key], value, equal_nan=True), key
+
+
+def test_recovery_is_equivariant_under_similarities(pinched3):
+    # x -> lam R (x - x0) divides |H| by lam and |A|^2 and |K-perp| by lam^2
+    # and multiplies the areas by lam^2, which is what type_i_rescale relies on
+    rng = np.random.default_rng(3)
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    lam = 37.5
+    m = pinched3
+    s = recover_geometry(m.with_vertices(lam * (m.vertices - rng.standard_normal(4)) @ q.T))
+
+    def kperp(mesh):
+        return pinching_fields(mesh.frame_h, mesh.frame_a, mesh.frame_b, mesh.frame_c, 0.1)["kperp_abs"]
+
+    for got, want in ((s.frame_h, m.frame_h / lam), (s.norm_a2(), m.norm_a2() / lam ** 2),
+                      (kperp(s), kperp(m) / lam ** 2), (s.vertex_area, m.vertex_area * lam ** 2)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("read", [lambda m: m.norm_a2(), lambda m: vertex_gradients(m, m.vertices),
+                                  shape_gradient_norm2],
+                         ids=["norm_a2", "vertex_gradients", "shape_gradient_norm2"])
+def test_unrecovered_mesh_reads_raise(read):
+    with pytest.raises(RuntimeError, match="recover_geometry must run first"):
+        read(icosphere(1.0, 2))
 
 
 def _two_branch_polar(mats):
@@ -351,7 +384,7 @@ def test_sphere_flow_velocity_matches_inward_normal(sphere4):
 
 def test_jet_vs_cotan_mean_curvature(sphere4, torus48):
     for m in (sphere4, torus48):
-        diff = np.linalg.norm(m.mean_curv_jet - m.mean_curv_cot, axis=1)
+        diff = np.linalg.norm(_jet_mean_curvature(m) - m.mean_curv_cot, axis=1)
         ref = np.linalg.norm(m.mean_curv_cot, axis=1)
         assert np.median(diff / ref) < 0.02
 
@@ -400,7 +433,7 @@ def test_ellipsoid_curvature_converges_to_closed_form():
     for sub in (4, 5):
         m = recover_geometry(ellipsoid_plus_bump(*axes, 0.0, subdivisions=sub))
         h, a2 = _ellipsoid_curvature(axes, m.vertices[:, :3])
-        jet_h.append(np.max(np.abs(np.linalg.norm(m.mean_curv_jet, axis=1) - h) / h))
+        jet_h.append(np.max(np.abs(m.frame_h - h) / h))
         jet_a2.append(np.max(np.abs(m.norm_a2() - a2) / a2))
         rel = (np.linalg.norm(m.mean_curv_cot, axis=1) - h) / h
         cot_l2.append(np.sqrt(np.sum(m.vertex_area * rel ** 2) / m.vertex_area.sum()))

@@ -110,3 +110,25 @@ def test_topology_tables_are_read_in_the_package():
 
     read = {key for tree in trees for key in subscripts(tree)}
     assert sorted(tables - read) == [], "topology tables that nothing in src/ reads"
+
+
+def test_recovered_mesh_attributes_are_read_in_the_package():
+    # a cache that recover_geometry fills for tests alone; reads in tests do not count
+    trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    recover = next(node for tree in trees for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "recover_geometry")
+    filled = {n.attr for n in ast.walk(recover) if isinstance(n, ast.Attribute)
+              and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
+              and n.value.id == "mesh"}
+    assert filled
+
+    def loads(node):
+        for child in ast.iter_child_nodes(node):
+            if child is recover:
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                yield child.attr
+            yield from loads(child)
+
+    read = {attr for tree in trees for attr in loads(tree)}
+    assert sorted(filled - read) == [], "mesh attributes that recover_geometry fills and nothing reads"
