@@ -219,6 +219,7 @@ def run_scenario(scenario: str, out_dir: str, seed: int = 0) -> dict:
         "hypothesis_violated": not trace.rows[0].maxQ < 0,
         "decay_fit": decay,
         "rejections": result.rejections,
+        "cg_iterations": result.cg_iterations,
         "max_h_gap": result.max_h_gap,
     }
     _write_json(out / "run.json", summary)

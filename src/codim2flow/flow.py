@@ -270,22 +270,21 @@ def _normal_part(nor: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _jacobi_cg(apply, diag: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve K x = b for each column of b by Jacobi-preconditioned conjugate gradients.
+    """Solve K x = b for each row of b by Jacobi-preconditioned conjugate gradients.
 
-    K is symmetric positive definite; apply(p) returns K p for a block of
-    columns and diag is K's diagonal.  A column stops once its residual is
-    at most CG_RTOL |b|, and is left alone from then on.  Returns x and the
-    most iterations any column took; raises NonFiniteStep on a non-finite
-    residual or when a column has not converged after CG_MAX_ITER iterations.
+    K is symmetric positive definite; apply(p) returns K p for a (p, n) block
+    of rows, and diag is K's diagonal.  A row stops once its residual is at
+    most CG_RTOL |b|, and is left alone from then on.  Returns x and the most
+    iterations any row took; raises NonFiniteStep on a non-finite residual or
+    a row not converged after CG_MAX_ITER iterations.
     """
     x = np.zeros_like(b)
     r = b.copy()
-    z = r / diag[:, None]
-    p = z.copy()
-    rz = np.einsum("ni,ni->i", r, z)
-    stop = CG_RTOL * np.linalg.norm(b, axis=0)
+    p = r / diag
+    rz = np.einsum("in,in->i", r, p)
+    stop = CG_RTOL * np.linalg.norm(b, axis=1)
     for it in range(CG_MAX_ITER + 1):
-        res = np.linalg.norm(r, axis=0)
+        res = np.linalg.norm(r, axis=1)
         if not np.isfinite(res).all():
             raise NonFiniteStep(f"non-finite conjugate-gradient residual after {it} iterations")
         act = np.flatnonzero(res > stop)
@@ -293,25 +292,26 @@ def _jacobi_cg(apply, diag: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]
             return x, it
         if it == CG_MAX_ITER:
             break
-        pa = p[:, act]
+        pa = p[act]
         q = apply(pa)
-        alpha = rz[act] / np.einsum("ni,ni->i", pa, q)
-        x[:, act] += alpha * pa
-        r[:, act] -= alpha * q
-        za = r[:, act] / diag[:, None]
-        rz_new = np.einsum("ni,ni->i", r[:, act], za)
-        p[:, act] = za + (rz_new / rz[act]) * pa
+        alpha = (rz[act] / np.einsum("in,in->i", pa, q))[:, None]
+        x[act] += alpha * pa
+        r[act] = ra = r[act] - alpha * q
+        za = ra / diag
+        rz_new = np.einsum("in,in->i", ra, za)
+        p[act] = za + (rz_new / rz[act])[:, None] * pa
         rz[act] = rz_new
     raise NonFiniteStep(f"conjugate gradients not converged to {CG_RTOL:g} "
                         f"after {CG_MAX_ITER} iterations")
 
 
-def _cn_solve(mesh: SurfaceMesh, mass: np.ndarray, dt: float,
-              x: np.ndarray) -> tuple[np.ndarray, int]:
-    """D with (M + dt/2 A) D = -dt A x, for M = diag(mass) and A the cotan stiffness of mesh."""
+def _cn_solve(mesh: SurfaceMesh, mass: np.ndarray, dt: float, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(n, 4) D with (M + dt/2 A) D = -dt A x, for M = diag(mass) and A the cotan stiffness
+    of mesh, solving for the coordinates as the rows of one (4, n) block."""
     product, diagonal = stiffness_operator(mesh)
-    return _jacobi_cg(lambda d: mass[:, None] * d + 0.5 * dt * product(d),
-                      mass + 0.5 * dt * diagonal, -dt * product(x))
+    d, it = _jacobi_cg(lambda d: mass * d + 0.5 * dt * product(d),
+                       mass + 0.5 * dt * diagonal, -dt * product(np.ascontiguousarray(x.T)))
+    return d.T, it
 
 
 def _crank_nicolson_displacement(mesh: SurfaceMesh, dt: float) -> tuple[np.ndarray, int]:
@@ -398,6 +398,7 @@ class FlowResult:
     r0: float
     stop_a2: float
     rejections: dict       # rejected attempts by reason, over the run
+    cg_iterations: int     # StepInfo.cg_iterations summed over every attempt of the run
     max_h_gap: float       # largest StepInfo.h_gap over the run
 
 
@@ -419,6 +420,7 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig) -> FlowResult:
     t = 0.0
     status = "max_steps"
     rejections = {"inversion": 0, "area": 0}
+    cg_iterations = 0
     max_h_gap = 0.0
     for step in range(1, cfg.max_steps + 1):
         mesh, dt = step_mcf(mesh, cfg)
@@ -429,6 +431,7 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig) -> FlowResult:
         max_h_gap = float(np.maximum(max_h_gap, mesh.step_info.h_gap))
         for reason in mesh.step_info.rejections:
             rejections[reason] += 1
+        cg_iterations += sum(mesh.step_info.cg_iterations)
         max_a2 = float(np.max(mesh.norm_a2()))
         want_snapshot = max_a2 >= 2.0 * snapshots[-1].max_a2
         done = max_a2 >= stop_a2
@@ -444,8 +447,7 @@ def run_flow(mesh: SurfaceMesh, cfg: FlowConfig) -> FlowResult:
         if mesh.min_triangle_angle() < math.radians(cfg.min_angle_deg):
             status = "mesh_quality"
             break
-    return FlowResult(trace=trace, snapshots=snapshots, status=status,
-                      r0=r0, stop_a2=stop_a2, rejections=rejections, max_h_gap=max_h_gap)
+    return FlowResult(trace, snapshots, status, r0, stop_a2, rejections, cg_iterations, max_h_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -200,13 +200,13 @@ def _build_topology(n_vertices: int, triangles: np.ndarray) -> dict:
     }
 
 
-def _ring1_differences(mesh: SurfaceMesh, x: np.ndarray) -> np.ndarray:
-    """x[k] - x[v] over each vertex v's 1-ring k for (n, ...) vertex values x.
+def _ring1_differences(mesh: SurfaceMesh, x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """x[k] - x[v] over each vertex v's 1-ring k, for vertex values x along axis.
 
-    Returns (L, n, ...), L the largest valence; a padded slot is exactly 0.
+    Adds the 1-ring axis, of length L the largest valence, before the vertex axis; padding is 0.
     """
-    d = x.take(mesh._topo["ring1"], axis=0)
-    d -= x
+    d = x.take(mesh._topo["ring1"], axis=axis)
+    d -= np.expand_dims(x, axis)
     return d
 
 
@@ -237,17 +237,17 @@ def stiffness_operator(mesh: SurfaceMesh):
 
     (A x)_j = (1/2) sum over the edges (j, k) of (cot alpha + cot beta)(x_j - x_k),
     the angles opposite the edge.  A is symmetric and positive semidefinite,
-    and Delta_g F = -A F / (mixed area).  product(x) returns A x for (n, p)
-    vertex values x, gathering each edge's weight and difference once per
-    end from the 1-ring table.
+    and Delta_g F = -A F / (mixed area).  product(x) returns A x for (p, n)
+    blocks x, one vertex field per row, gathering each edge's weight and
+    difference once per end from the 1-ring table, with the vertices innermost.
     """
     mesh.triangle_areas()
     w = 0.5 * np.append(mesh._tri[2], 0.0).take(mesh._topo["ring1_cot"]).sum(axis=0)
 
     def product(x):
-        t = _ring1_differences(mesh, x)
-        t *= w[:, :, None]
-        return -t.sum(axis=0)
+        t = _ring1_differences(mesh, x, axis=1)
+        t *= w
+        return -t.sum(axis=1)
 
     return product, w.sum(axis=0)
 
@@ -255,23 +255,23 @@ def stiffness_operator(mesh: SurfaceMesh):
 def _cotan_mean_curvature(mesh: SurfaceMesh) -> np.ndarray:
     """Delta_g F per vertex, over the mixed areas: the discrete mean curvature vector in R^4."""
     product, _ = stiffness_operator(mesh)
-    return -product(mesh.vertices) / np.maximum(mesh.vertex_area, 1e-300)[:, None]
+    return (product(mesh.vertices.T) / -np.maximum(mesh.vertex_area, 1e-300)).T
 
 
-def _inv_sqrt_2x2(m: np.ndarray) -> np.ndarray:
-    """Inverse square roots of (n, 2, 2) symmetric positive definite matrices, closed form.
+def _inv_sqrt_2x2(a, b, c):
+    """Entries (a', b', c') of [[a, b], [b, c]]^(-1/2), positive definite, elementwise, closed form.
 
     sqrt(M) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)), and a 2 x 2
     inverse is the adjugate over the determinant, here sqrt(det M).
     """
-    a, b, c = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
     root_det = np.sqrt(a * c - b * b)
     scale = 1.0 / (root_det * np.sqrt(a + c + 2.0 * root_det))
-    out = np.empty(m.shape)
-    out[:, 0, 0] = (c + root_det) * scale
-    out[:, 0, 1] = out[:, 1, 0] = -b * scale
-    out[:, 1, 1] = (a + root_det) * scale
-    return out
+    return (c + root_det) * scale, -b * scale, (a + root_det) * scale
+
+
+def _sym_times(u, v, a, b, c):
+    """The row (u, v) times the symmetric [[a, b], [b, c]], elementwise over arrays."""
+    return a * u + b * v, b * u + c * v
 
 
 def _jet_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, full: np.ndarray) -> np.ndarray:
@@ -380,23 +380,24 @@ def _graph_geometry(tangent, normal, coef6, sigma):
     geometry at x = 0, in closed form: with G = (I + s s^T)^(-1/2) and
     P = (I + s^T s)^(-1/2), the frames are (T + N s^T) G and (N - T s) P,
     and h^beta = sum_alpha P_alpha,beta G f^alpha G for second derivatives f.
+    Each 2 x 2 product is written out entry by entry, over the vertices.
     """
-    n = sigma.shape[0]
-    slope = coef6[:, 1:3, :] / sigma[:, None, None]      # (n, i, alpha)
-    slope_t = slope.transpose(0, 2, 1)
-    g_inv_half = _inv_sqrt_2x2(np.eye(2) + slope @ slope_t)
-    p_inv_half = _inv_sqrt_2x2(np.eye(2) + slope_t @ slope)
-    s2 = sigma[:, None] ** 2
-    hess = np.empty((n, 2, 2, 2))                        # (n, alpha, i, j)
-    hess[:, :, 0, 0] = 2.0 * coef6[:, 3, :] / s2
-    hess[:, :, 0, 1] = hess[:, :, 1, 0] = coef6[:, 4, :] / s2
-    hess[:, :, 1, 1] = 2.0 * coef6[:, 5, :] / s2
-    ghg = (g_inv_half[:, None] @ hess @ g_inv_half[:, None]).reshape(n, 2, 4)
-    shape = (p_inv_half @ ghg).reshape(n, 2, 2, 2).transpose(0, 2, 3, 1).copy()
-    # exactly symmetric: (G f) G rounds its two off-diagonal entries apart
-    shape[:, 1, 0, :] = shape[:, 0, 1, :]
-    return ((tangent + normal @ slope_t) @ g_inv_half,
-            (normal - tangent @ slope) @ p_inv_half, shape)
+    cf = coef6.transpose(1, 2, 0)                        # (6, alpha, n)
+    (a, b), (c, d) = cf[1:3] / sigma                     # the slope s = [[a, b], [c, d]]
+    f00, f01, f11 = cf[3:] / sigma ** 2 * [[[2.0]], [[1.0]], [[2.0]]]   # f^alpha_ij: 2 c3, c4, 2 c5
+    g = _inv_sqrt_2x2(1.0 + (a * a + b * b), a * c + b * d, 1.0 + (c * c + d * d))
+    p = _inv_sqrt_2x2(1.0 + (a * a + c * c), a * b + c * d, 1.0 + (b * b + d * d))
+    (t0, t1), (n0, n1) = tangent.transpose(2, 1, 0), normal.transpose(2, 1, 0)   # (4, n) each
+    new_t, new_n = np.empty((2,) + tangent.shape)        # the new frames, written through .T
+    new_t.T[0], new_t.T[1] = _sym_times(t0 + (a * n0 + b * n1), t1 + (c * n0 + d * n1), *g)
+    new_n.T[0], new_n.T[1] = _sym_times(n0 - (a * t0 + c * t1), n1 - (b * t0 + d * t1), *p)
+    # G f G by columns from the rows of f G, then h^beta_ij over beta
+    fg0, fg1 = _sym_times(f00, f01, *g), _sym_times(f01, f11, *g)
+    k01, k11 = _sym_times(fg0[1], fg1[1], *g)
+    h00, h01, h11 = (_sym_times(*k, *p) for k in (g[0] * fg0[0] + g[1] * fg1[0], k01, k11))
+    # one h_01 in both slots, so shape is exactly symmetric
+    shape = np.array([h00, h01, h01, h11]).transpose(2, 0, 1).reshape(-1, 2, 2, 2)
+    return new_t, new_n, shape
 
 
 def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:

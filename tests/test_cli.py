@@ -304,6 +304,8 @@ def test_run_scenario_artifacts(tmp_path):
     fields = (out / "snapshots" / "snap_000_fields.csv").read_text().splitlines()
     assert fields[0] == "vertex,H,A2,Q,fsigma,K,Kperp"
     assert summary["rejections"].keys() == {"inversion", "area"}
+    assert summary["cg_iterations"] > 0
+    assert json.loads((out / "run.json").read_text())["cg_iterations"] == summary["cg_iterations"]
     # a few percent on this coarse sphere, far below the order-one gap of a failed jet fit
     assert 0 < summary["max_h_gap"] < 0.2
     assert json.loads((out / "run.json").read_text())["max_h_gap"] == summary["max_h_gap"]

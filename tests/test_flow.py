@@ -152,6 +152,28 @@ def test_step_info_records_each_rejection(monkeypatch):
     assert len(info.cg_iterations) == 2
 
 
+def test_run_flow_totals_cg_iterations_over_every_attempt(monkeypatch):
+    # the first step's first attempt is rejected, and its solve still counts
+    real = flowmod._triangle_inverted
+    calls = []
+
+    def inverted_once(p, q):
+        calls.append(1)
+        return len(calls) == 1 or real(p, q)
+
+    monkeypatch.setattr(flowmod, "_triangle_inverted", inverted_once)
+    cfg = small_cfg(max_steps=3, poincare_every=100)
+    result = run_flow(icosphere(1.0, 2), cfg)
+    assert result.rejections == {"inversion": 1, "area": 0}
+    calls.clear()
+    mesh, per_attempt = recover_geometry(icosphere(1.0, 2)), []
+    for _ in range(3):
+        mesh = step_mcf(mesh, cfg)[0]
+        per_attempt += mesh.step_info.cg_iterations
+    assert len(per_attempt) == 4 and min(per_attempt) > 0
+    assert result.cg_iterations == sum(per_attempt)
+
+
 def test_nonfinite_candidate_is_never_accepted():
     # a NaN candidate fails neither the inversion nor the area test; a NaN
     # normal reaches the candidate through the displacement's projection
@@ -174,20 +196,21 @@ def test_step_info_records_cotan_jet_gap():
 
 
 def test_cg_columns_converge_independently(rng):
-    # a zero column is done at once and a converged column is left alone:
+    # a zero row is done at once and a converged row is left alone:
     # dividing by its vanished residual would turn it into NaN
     q = rng.standard_normal((30, 30))
     k = q @ q.T + 30 * np.eye(30)
-    b = np.stack([rng.standard_normal(30), np.zeros(30), 1e-6 * rng.standard_normal(30)], axis=1)
-    x, iters = _jacobi_cg(lambda p: k @ p, np.diag(k).copy(), b)
-    assert np.all(x[:, 1] == 0) and 0 < iters < 30
-    res = np.linalg.norm(b - k @ x, axis=0)
-    assert np.all(res <= CG_RTOL * np.linalg.norm(b, axis=0))
+    b = np.stack([rng.standard_normal(30), np.zeros(30), 1e-6 * rng.standard_normal(30)])
+    # rows p of a block are fields, so K p^T is the block p K (K symmetric)
+    x, iters = _jacobi_cg(lambda p: p @ k, np.diag(k).copy(), b)
+    assert np.all(x[1] == 0) and 0 < iters < 30
+    res = np.linalg.norm(b - x @ k, axis=1)
+    assert np.all(res <= CG_RTOL * np.linalg.norm(b, axis=1))
 
 
 def test_cg_failure_raises(monkeypatch):
     with pytest.raises(NonFiniteStep, match="non-finite"):
-        _jacobi_cg(lambda p: p, np.ones(3), np.array([[np.nan], [0.0], [1.0]]))
+        _jacobi_cg(lambda p: p, np.ones(3), np.array([[np.nan, 0.0, 1.0]]))
     monkeypatch.setattr(flowmod, "CG_MAX_ITER", 2)
     m = recover_geometry(icosphere(1.0, 2))
     with pytest.raises(NonFiniteStep, match="not converged"):
@@ -201,11 +224,33 @@ def test_cg_residual_within_tolerance(preset):
     # the step size the preset would take
     dt = flow_config(sc).cfl / float(np.max(m.norm_a2()))
     d, iters = _cn_solve(m, m.vertex_area, dt, m.vertices)
+    assert d.shape == m.vertices.shape
     product, _ = stiffness_operator(m)
-    b = -dt * product(m.vertices)
-    res = b - (m.vertex_area[:, None] * d + 0.5 * dt * product(d))
-    assert np.all(np.linalg.norm(res, axis=0) <= CG_RTOL * np.linalg.norm(b, axis=0))
+    b = -dt * product(m.vertices.T)
+    res = b - (m.vertex_area * d.T + 0.5 * dt * product(d.T))
+    assert np.all(np.linalg.norm(res, axis=1) <= CG_RTOL * np.linalg.norm(b, axis=1))
     assert 0 < iters < CG_MAX_ITER
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_cn_solve_matches_dense_solve(scale):
+    # the dense oracle: K = M + dt/2 A from the product of the identity, at
+    # the preset's step size and at 100 times it, where A dominates K
+    m = recover_geometry(icosphere(1.0, 2))
+    n = m.n_vertices
+    product, _ = stiffness_operator(m)
+    a = product(np.eye(n))
+    dt = scale * 0.01 / float(np.max(m.norm_a2()))
+    k = np.diag(m.vertex_area) + 0.5 * dt * a
+    ref = np.linalg.solve(k, -dt * a @ m.vertices)
+    d, _ = _cn_solve(m, m.vertex_area, dt, m.vertices)
+    # each row stops at |r| <= CG_RTOL |b|, and |D - D*| = |K^-1 r| <= |K^-1| CG_RTOL |K D*|,
+    # so |D - D*| <= cond(K) CG_RTOL |D*| per coordinate; the dense solve adds cond(K) eps.
+    # The mesh lies in R^3, so its fourth coordinate must come out exactly 0
+    cond = np.linalg.cond(k)
+    assert cond < 1e3
+    bound = cond * (CG_RTOL + 64 * np.finfo(float).eps) * np.linalg.norm(ref, axis=0)
+    assert np.all(np.linalg.norm(d - ref, axis=0) <= bound)
 
 
 T_ORDER = 0.02

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import codim2flow.mesh as meshmod
 from codim2flow.builders import _icosahedron, ellipsoid_plus_bump, icosphere, product_torus
 from codim2flow.curvature import field_scalars, pinching_fields, special_frame_fields, tensor_z_batch
 from codim2flow.errors import DegenerateNeighborhood, NonManifoldMesh
 from codim2flow.mesh import (
     SurfaceMesh,
+    _graph_geometry,
     _inv_sqrt_2x2,
     _jet_fit,
     _polar_orthogonalize,
@@ -357,8 +359,58 @@ def test_inv_sqrt_2x2_matches_eigh(rng):
     spd = q @ q.transpose(0, 2, 1) + 0.1 * np.eye(2)
     lam, vec = np.linalg.eigh(spd)
     ref = (vec / np.sqrt(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
-    assert np.max(np.abs(_inv_sqrt_2x2(spd) - ref) / np.abs(ref).max(axis=(1, 2))[:, None, None]) < 1e-13
-    assert np.array_equal(_inv_sqrt_2x2(np.tile(np.eye(2), (3, 1, 1))), np.tile(np.eye(2), (3, 1, 1)))
+    a, b, c = _inv_sqrt_2x2(spd[:, 0, 0], spd[:, 0, 1], spd[:, 1, 1])
+    got = np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
+    assert np.max(np.abs(got - ref) / np.abs(ref).max(axis=(1, 2))[:, None, None]) < 1e-13
+    one, zero = np.ones(3), np.zeros(3)
+    assert all(np.array_equal(x, y) for x, y in zip(_inv_sqrt_2x2(one, zero, one), (one, zero, one)))
+
+
+def _stacked_graph_geometry(tangent, normal, coef6, sigma):
+    """The graph correction as stacked 2 x 2 matmuls, with eigh inverse square roots."""
+    def inv_sqrt(m):
+        lam, vec = np.linalg.eigh(m)
+        return (vec / np.sqrt(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
+
+    n = sigma.shape[0]
+    slope = coef6[:, 1:3, :] / sigma[:, None, None]      # (n, i, alpha)
+    slope_t = slope.transpose(0, 2, 1)
+    g = inv_sqrt(np.eye(2) + slope @ slope_t)
+    p = inv_sqrt(np.eye(2) + slope_t @ slope)
+    hess = np.empty((n, 2, 2, 2))                        # (n, alpha, i, j)
+    hess[:, :, 0, 0] = 2.0 * coef6[:, 3, :]
+    hess[:, :, 0, 1] = hess[:, :, 1, 0] = coef6[:, 4, :]
+    hess[:, :, 1, 1] = 2.0 * coef6[:, 5, :]
+    hess /= sigma[:, None, None, None] ** 2
+    ghg = (g[:, None] @ hess @ g[:, None]).reshape(n, 2, 4)
+    shape = (p @ ghg).reshape(n, 2, 2, 2).transpose(0, 2, 3, 1)
+    return (tangent + normal @ slope_t) @ g, (normal - tangent @ slope) @ p, shape
+
+
+def test_graph_geometry_matches_stacked_matmul_reference(pinched3, rng, monkeypatch):
+    n = 2000
+    frames = np.linalg.qr(rng.standard_normal((n, 4, 4)))[0]
+    sigma = rng.uniform(0.02, 2.0, n)
+    coef6 = rng.standard_normal((n, 6, 2))
+    # slopes of every norm up to 1
+    slope = rng.standard_normal((n, 2, 2))
+    slope *= (rng.uniform(0.0, 1.0, n) / np.linalg.norm(slope, axis=(1, 2)))[:, None, None]
+    coef6[:, 1:3] = slope * sigma[:, None, None]
+    cases = [(frames[:, :, 2:], frames[:, :, :2], coef6, sigma)]
+    # the inputs of a recovery of the pinched mesh
+    real = meshmod._graph_geometry
+    monkeypatch.setattr(meshmod, "_graph_geometry", lambda *args: cases.append(args) or real(*args))
+    recover_geometry(pinched3.with_vertices(pinched3.vertices))
+    assert len(cases) == 2
+    for args in cases:
+        got, ref = _graph_geometry(*args), _stacked_graph_geometry(*args)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape
+            assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+        tangent, normal, shape = got
+        frames = np.concatenate([tangent, normal], axis=2)
+        assert np.abs(np.einsum("nia,nib->nab", frames, frames) - np.eye(4)).max() <= 1e-14
+        assert np.array_equal(shape[:, 0, 1], shape[:, 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +558,7 @@ def test_cotan_scatter_matches_add_at_reference(torus48):
 def test_stiffness_matrix_symmetric_psd_with_its_diagonal():
     m = recover_geometry(icosphere(1.0, 1))
     product, diagonal = stiffness_operator(m)
-    a = product(np.eye(m.n_vertices))   # column i is A e_i
+    a = product(np.eye(m.n_vertices))   # row i is A e_i
     assert np.allclose(a, a.T, atol=1e-13)
     assert np.allclose(a.sum(axis=1), 0.0, atol=1e-13)   # constants are in the kernel
     assert np.linalg.eigvalsh(a).min() > -1e-12
@@ -528,7 +580,8 @@ def test_stiffness_gather_matches_add_at_reference(build, rng):
         acc = np.zeros_like(x)
         np.add.at(acc, j, d)
         np.add.at(acc, k, -d)
-        assert np.max(np.abs(product(x) + 0.5 * acc)) <= 1e-14 * np.max(np.abs(0.5 * acc))
+        # product takes and returns (p, n) blocks; the reference stays (n, p)
+        assert np.max(np.abs(product(x.T).T + 0.5 * acc)) <= 1e-14 * np.max(np.abs(0.5 * acc))
     ends = np.concatenate([j.ravel(), k.ravel()])
     ref = 0.5 * np.bincount(ends, np.concatenate([cots.ravel(), cots.ravel()]),
                             minlength=m.n_vertices)
