@@ -50,6 +50,20 @@ _JET_GATHER = np.concatenate([
 # smallest Cholesky pivot, relative to its diagonal entry, of a full-rank fit
 _PIVOT_RTOL = 1e-12
 
+# The covariance plane's orthogonal iteration stops once no vertex's plane
+# moves by more than PLANE_TOL in a pass (the root sum of squares of the
+# sines of the two principal angles), or after PLANE_MAX_ITER passes.
+PLANE_TOL = 1e-14
+PLANE_MAX_ITER = 100
+# The iteration starts from columns of C^2 in this orthonormal basis, left
+# multiplication by the unit quaternion (1, 2, 3, 4) / sqrt(30), whose every
+# column mixes all four coordinates: in the coordinate basis, the two pivot
+# columns of a stencil symmetric in the coordinates can span a wrong
+# invariant plane exactly (on product_torus(1, 1, 48, 12), say), which no
+# pass leaves.
+_PLANE_BASIS = np.array([[1, -2, -3, -4], [2, 1, -4, 3], [3, 4, 1, -2], [4, -3, 2, 1]],
+                        dtype=float) / math.sqrt(30.0)
+
 
 class SurfaceMesh:
     """Closed triangle mesh in R^4 with per-vertex geometry caches.
@@ -371,6 +385,69 @@ def _jet_solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c.transpose(2, 1, 0), ok
 
 
+def _orthonormalize(y: np.ndarray, out: np.ndarray) -> None:
+    """Gram-Schmidt of the (2, 4, n) vector pairs y, vertex last, into out; overwrites y[1]."""
+    y0, y1 = y
+    q0, q1 = out
+    np.divide(y0, np.sqrt(np.einsum("in,in->n", y0, y0)), out=q0)
+    y1 -= q0 * np.einsum("in,in->n", q0, y1)
+    np.divide(y1, np.sqrt(np.einsum("in,in->n", y1, y1)), out=q1)
+
+
+def _covariance_plane(cov: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) orthonormal frames of (n, 4, 4) covariances: the first two
+    columns span the top-2 eigenspace, the last two its complement.
+
+    Orthogonal iteration on G = C^2, C = cov / tr cov, with the vertex index
+    last (Golub & Van Loan, Matrix Computations, 8.2).  It starts from the
+    two pivot columns of G in _PLANE_BASIS, then applies G and Gram-Schmidt
+    once a pass, so the plane converges by (lambda_3 / lambda_2)^2 a pass.
+    The normal pair is the two pivot columns of the complement projector.
+    No basis has a sign or in-plane angle convention.  A NaN vertex neither
+    keeps the iteration going nor stops it for the others.
+    """
+    n = cov.shape[0]
+    cols = np.arange(n)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = np.ascontiguousarray(cov.transpose(1, 2, 0))
+        c /= np.einsum("iin->n", c)
+        g = np.einsum("ijn,jkn->ikn", c, c)
+        # the column of G r_k of largest norm, then the one with the largest
+        # part orthogonal to it
+        gr = np.einsum("ijn,jk->ikn", g, _PLANE_BASIS)
+        norm2 = np.einsum("ikn,ikn->kn", gr, gr)
+        flat = gr.reshape(4, -1)                     # column k of vertex v at k n + v
+        y = np.empty((2, 4, n))
+        k = norm2.T.argmax(axis=1) * n + cols
+        flat.take(k, axis=1, out=y[0])
+        rest = norm2 - np.einsum("in,ikn->kn", y[0], gr) ** 2 / norm2.ravel().take(k)
+        flat.take(rest.T.argmax(axis=1) * n + cols, axis=1, out=y[1])
+        del c, gr, flat                              # fewer live temporaries: a lower peak RSS
+        q = np.empty((2, 4, n))
+        _orthonormalize(y, q)
+        for _ in range(PLANE_MAX_ITER):
+            _orthonormalize(np.einsum("ijn,ajn->ain", g, q), y)
+            # minus the new pair's part outside the old plane: its squared
+            # norm is the sum of the squared sines of the principal angles
+            r = np.einsum("abn,bin->ain", np.einsum("ain,bin->abn", y, q), q)
+            r -= y
+            q, y = y, q
+            if not (np.einsum("ain,ain->n", r, r) > PLANE_TOL ** 2).any():
+                break
+        # pivot columns e_k - sum_b b b_k of the projector I - sum_b b b^T onto
+        # the complement of the basis so far, whose diagonal is 1 - sum_b b_k^2
+        basis = list(q)
+        diag = 1.0 - q[0] * q[0] - q[1] * q[1]
+        for _ in range(2):
+            k = diag.T.argmax(axis=1) * n + cols
+            col = -sum(b * b.ravel().take(k) for b in basis)
+            col.ravel()[k] += 1.0
+            col /= np.sqrt(np.einsum("in,in->n", col, col))
+            diag -= col * col
+            basis.append(col)
+    return np.ascontiguousarray(np.transpose(basis, (2, 1, 0)))
+
+
 def _graph_geometry(tangent, normal, coef6, sigma):
     """Frames (n, 4, 2) and second fundamental form (n, 2, 2, 2) of the fitted graphs.
 
@@ -404,16 +481,18 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     """Fill per-vertex areas, frames, shape tensors and curvature fields.
 
     One weighted quartic jet fit per vertex gives the two normal offsets as
-    a graph over the plane of the top eigenvectors of the weighted 2-ring
-    offset covariance (the quartic terms absorb the fourth-order surface
-    contributions that would otherwise alias into the curvature).  The
-    frames and the second fundamental form are that graph's exact ones at
-    the vertex, from the fit's slope and second derivatives in closed form,
-    so a covariance plane tilted against the surface needs no second fit.
-    The frames keep the signs eigh gives the eigenvectors: no field read
-    from them depends on those signs.  Vertices whose 2-ring is too small
-    for the quartic basis, or cannot separate its terms, fall back to the
-    plain quadratic fit.
+    a graph over the top-2 eigenspace of the weighted 2-ring offset
+    covariance, which _covariance_plane finds for every vertex at once (the
+    quartic terms absorb the fourth-order surface contributions that would
+    otherwise alias into the curvature).  The frames and the second
+    fundamental form are that graph's exact ones at the vertex, from the
+    fit's slope and second derivatives in closed form, so a covariance
+    plane tilted against the surface needs no second fit.  No field read
+    from the frames depends on their signs or on the basis chosen inside
+    either plane.  Vertices whose 2-ring is too small for the quartic
+    basis, or cannot separate its terms, fall back to the plain quadratic
+    fit; a 2-ring whose distances do not square to finite positive numbers
+    raises DegenerateNeighborhood.
     The mixed areas and the cotan velocity read the mesh's one triangle
     pass (triangle_areas).  Fills the mesh once, in place, and returns it.
     """
@@ -428,23 +507,35 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     # weight scale from the 2-ring spread; keeps the whole stencil active
     # even when the flow compresses neighborhoods anisotropically
     counts = mask2.sum(axis=1)
-    sigma = np.maximum(0.75 * np.sum(np.sqrt(r2) * mask2, axis=1) / counts, 1e-300)
-    w = np.exp(-r2 / (2.0 * sigma[:, None] ** 2)) * mask2
+    with np.errstate(invalid="ignore"):              # inf * 0 at padded slots is caught below
+        sigma = 0.75 * np.sum(np.sqrt(r2) * mask2, axis=1) / counts
+    # squared distances that overflow, or underflow to 0 over a whole
+    # stencil, leave the weights and the plane without a scale
+    sigma2 = sigma * sigma
+    bad = ~(np.isfinite(sigma2) & (sigma2 >= np.finfo(float).tiny))
+    if bad.any():
+        i = int(bad.argmax())
+        raise DegenerateNeighborhood(
+            f"vertex {i}: 2-ring offsets of size {np.abs(d[i]).max():.3g} have squared "
+            "distances that are not finite and positive")
+    w = np.exp(-r2 / (2.0 * sigma2[:, None])) * mask2
 
-    cov = d.transpose(0, 2, 1) @ (d * w[:, :, None])
-    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    eigval, eigvec = np.linalg.eigh(cov)             # ascending
-    tangent = eigvec[:, :, 2:]                       # (n, 4, 2) top-2
-    normal = eigvec[:, :, :2]
+    frames = _covariance_plane(d.transpose(0, 2, 1) @ (d * w[:, :, None]))
+    # each offset's tangent coordinates over sigma, then its normal ones: an
+    # (n, K, 4) view of an (n, 4, K) product, so that the fit reads each
+    # coordinate in rows
+    coords = frames.transpose(0, 2, 1) @ d.transpose(0, 2, 1)
+    coords[:, :2] /= sigma[:, None, None]
+    coords = coords.transpose(0, 2, 1)
 
     # quartic where the stencil carries enough effective weight; plain
     # quadratic where it does not (small 2-rings, collapsed weights)
     eff = w.sum(axis=1) ** 2 / np.maximum((w * w).sum(axis=1), 1e-300)
     full = (counts >= 15) & (eff >= 12.0)
 
-    coef6 = _jet_fit((d @ tangent) / sigma[:, None, None], d @ normal, w, full)
+    coef6 = _jet_fit(coords[:, :, :2], coords[:, :, 2:], w, full)
 
-    tangent, normal, shape = _graph_geometry(tangent, normal, coef6, sigma)
+    tangent, normal, shape = _graph_geometry(frames[:, :, :2], frames[:, :, 2:], coef6, sigma)
 
     mesh.vertex_area = mixed_voronoi_areas(mesh)  # also fills the triangle cache
     mesh.tangent = tangent
@@ -517,7 +608,8 @@ def shape_gradient_norm2(mesh: SurfaceMesh) -> np.ndarray:
               for basis in (mesh.tangent, mesh.normal))
 
     q_u = mesh.shape.take(ring1, axis=0)        # (L, n, 2, 2, 2)
-    q_t = np.einsum("lnip,lnjq,lnab,lnpqb->lnija", mt, mt, mn, q_u)
+    # pairwise, so that no intermediate is larger than q_u
+    q_t = np.einsum("lnip,lnjq,lnab,lnpqb->lnija", mt, mt, mn, q_u, optimize=True)
     dq = q_t - mesh.shape
 
     # 6 independent components with multiplicities (1, 2, 1) per normal slot

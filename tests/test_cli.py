@@ -635,6 +635,22 @@ def test_bad_surface_keys_are_config_errors(tmp_path, capsys, surface, key, valu
     assert caught == []
 
 
+@pytest.mark.parametrize("r, size", [("1e200", "e+199"), ("1e-200", "e-201")])
+def test_radius_out_of_squaring_range_is_a_degenerate_neighborhood(tmp_path, capsys, r, size):
+    # the 2-ring distances overflow or underflow when squared: a numerical
+    # failure naming the vertex and the offsets' size, with no warning first
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(f"surface = icosphere\nr = {r}\nsubdivisions = 2\nmax_steps = 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--out", str(tmp_path / "runs"), "flow", str(cfg)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: DegenerateNeighborhood: vertex 0: 2-ring offsets of size" in err
+    assert size in err and "not finite and positive" in err
+    assert caught == []
+
+
 def test_non_string_surface_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("surface = [1]\nr = 1.0\nsubdivisions = 2\nmax_steps = 2\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,25 +283,165 @@ def _recovered_fields(m):
             "vertex_gradients_norm2": np.einsum("nap,nap->np", grad, grad)}
 
 
-def test_recovery_does_not_depend_on_eigenvector_signs(sphere4, torus48, pinched3, monkeypatch):
-    # eigh fixes each eigenvector up to sign; flipping random columns of
-    # its frames must leave every recovered field bit for bit the same
-    eigh = np.linalg.eigh
+def _fields_with_transformed_frames(m, monkeypatch, transform):
+    """_recovered_fields of a fresh recovery of m, the plane kernel's frames put through transform."""
+    plane = meshmod._covariance_plane
+    with monkeypatch.context() as patch:
+        patch.setattr(meshmod, "_covariance_plane", lambda cov: transform(plane(cov)))
+        return _recovered_fields(recover_geometry(m.with_vertices(m.vertices)))
+
+
+def test_recovery_does_not_depend_on_frame_signs(sphere4, torus48, pinched3, monkeypatch):
+    # the plane kernel fixes each frame column up to sign; flipping random
+    # columns of its frames must leave every recovered field bit for bit the same
     for m in (sphere4, torus48, pinched3):
         ref = _recovered_fields(m)
         for seed in range(2):
             flips = np.random.default_rng(seed).choice([-1.0, 1.0], size=(m.n_vertices, 1, 4))
             assert (flips < 0).any()
-
-            def flipped_eigh(cov, flips=flips):
-                w, v = eigh(cov)
-                return w, v * flips
-
-            with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, "eigh", flipped_eigh)
-                got = _recovered_fields(recover_geometry(m.with_vertices(m.vertices)))
+            got = _fields_with_transformed_frames(m, monkeypatch, lambda f: f * flips)
             for key, value in ref.items():
                 assert np.array_equal(got[key], value, equal_nan=True), key
+
+
+def _random_o2(rng, n):
+    """(n, 2, 2) rotations by uniform angles, half of them times a reflection."""
+    t = rng.uniform(0.0, 2.0 * np.pi, n)
+    rot = np.stack([np.stack([np.cos(t), -np.sin(t)], axis=-1),
+                    np.stack([np.sin(t), np.cos(t)], axis=-1)], axis=-2)
+    rot[:, :, 1] *= rng.choice([-1.0, 1.0], n)[:, None]
+    return rot
+
+
+def test_recovery_does_not_depend_on_the_in_plane_frame(sphere4, torus48, pinched3, monkeypatch):
+    # a jet fitted in any orthonormal basis of a plane is the same polynomial,
+    # so O(2) changes of either pair move each field only by rounding, measured
+    # against the field's scale (a round sphere's b, c and |grad A|^2 sit at 0)
+    rng = np.random.default_rng(7)
+    for m in (sphere4, torus48, pinched3):
+        ref = _recovered_fields(m)
+        h_max, a2_max = np.max(np.abs(m.frame_h)), np.max(ref["norm_a2"])
+        scale = {"frame_h": h_max, "frame_a": h_max, "frame_b": h_max, "frame_c": h_max,
+                 "norm_a2": a2_max, "shape_gradient_norm2": a2_max * h_max ** 2}
+        rt, rn = _random_o2(rng, m.n_vertices), _random_o2(rng, m.n_vertices)
+
+        def turn(f):
+            return np.concatenate([f[:, :, :2] @ rt, f[:, :, 2:] @ rn], axis=2)
+
+        got = _fields_with_transformed_frames(m, monkeypatch, turn)
+        for key, s in scale.items():
+            assert np.max(np.abs(got[key] - ref[key])) <= 1e-11 * s, key
+        for key in ("mean_curv_cot", "vertex_area", "vertex_gradients_norm2"):
+            assert np.max(np.abs(got[key] - ref[key])) <= 1e-11 * np.max(np.abs(ref[key])), key
+
+
+def test_recovery_calls_no_eigh(pinched3, monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    m = recover_geometry(pinched3.with_vertices(pinched3.vertices))
+    assert np.array_equal(m.frame_h, pinched3.frame_h)
+
+
+def _plane_inputs(mesh, monkeypatch):
+    """The covariances recover_geometry hands the plane kernel for mesh."""
+    seen = []
+    plane = meshmod._covariance_plane
+    with monkeypatch.context() as patch:
+        patch.setattr(meshmod, "_covariance_plane", lambda cov: seen.append(cov) or plane(cov))
+        recover_geometry(mesh.with_vertices(mesh.vertices))
+    return seen[0]
+
+
+def _block_covariances():
+    """Covariances symmetric in the coordinate pairs (x0, x1) and (x2, x3): the
+    top eigenvalues 1 and 0.9 lie one in each pair, but the two pivot columns
+    of C^2 in the coordinate basis both lie in the (x2, x3) pair, which is
+    invariant (product_torus(1, 1, 48, 12) has such stencils)."""
+    t = np.linspace(0.7, 0.87, 20)
+    c, s = np.cos(t), np.sin(t)
+    cov = np.zeros((t.size, 4, 4))
+    cov[:, :2, :2] = 0.9 * np.stack([np.stack([c * c, c * s], -1), np.stack([c * s, s * s], -1)], -2)
+    cov[:, 2:, 2:] = np.array([[0.85, 0.15], [0.15, 0.85]])     # eigenvalues 1 and 0.7
+    return cov
+
+
+def _count_passes(monkeypatch):
+    calls = []
+    real = meshmod._orthonormalize
+    monkeypatch.setattr(meshmod, "_orthonormalize", lambda y, out: calls.append(1) or real(y, out))
+    return calls
+
+
+def _assert_orthonormal(frames):
+    assert np.isfinite(frames).all()
+    assert np.abs(np.einsum("nia,nib->nab", frames, frames) - np.eye(4)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ellipsoid_plus_bump(1.2, 1.0, 0.9, 0.05, subdivisions=3),
+    lambda: icosphere(1.0, 4),
+    lambda: product_torus(1.0, 1.0, 48, 48),
+    # lambda_3 / lambda_2 reaches 0.54, 0.63 and 0.59 on these: the slow cases
+    lambda: ellipsoid_plus_bump(1.0, 1.0, 0.1, 0.0, subdivisions=3),
+    lambda: ellipsoid_plus_bump(1.0, 1.0, 0.2, 0.0, subdivisions=3),
+    lambda: icosphere(1.0, 1),
+    None,
+], ids=["pinched3", "sphere4", "torus48", "bump_0.1", "bump_0.2", "icosphere1", "coordinate_blocks"])
+def test_covariance_plane_matches_eigh(build, monkeypatch):
+    cov = _block_covariances() if build is None else _plane_inputs(build(), monkeypatch)
+    frames = meshmod._covariance_plane(cov)
+    _assert_orthonormal(frames)
+    top = np.linalg.eigh(cov)[1][:, :, 2:]
+    # the part of the tangent pair outside eigh's plane, whose norm bounds
+    # the sine of the largest principal angle
+    off = frames[:, :, :2] - top @ (top.transpose(0, 2, 1) @ frames[:, :, :2])
+    assert np.linalg.norm(off, axis=(1, 2)).max() <= 1e-13
+    # and the same plane for covariances scaled out of squaring range
+    for k in (600, -600):
+        assert np.array_equal(meshmod._covariance_plane(cov * 2.0 ** k), frames)
+
+
+def test_covariance_plane_with_tied_eigenvalues(monkeypatch):
+    # lambda_2 = lambda_3 leaves the plane free inside the tie, and a scalar
+    # covariance leaves it free altogether; both must give orthonormal frames
+    q = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]
+    cov = np.stack([np.diag([3.0, 2.0, 2.0, 1.0]), q @ np.diag([3.0, 2.0, 2.0, 1.0]) @ q.T, np.eye(4)])
+    passes = _count_passes(monkeypatch)
+    frames = meshmod._covariance_plane(cov)
+    assert len(passes) - 1 < meshmod.PLANE_MAX_ITER
+    _assert_orthonormal(frames)
+    # the top eigenvector lies in each tied plane, and the bottom one outside it
+    for f, u, v in ((frames[0], np.eye(4)[0], np.eye(4)[3]), (frames[1], q[:, 0], q[:, 3])):
+        assert np.linalg.norm(f[:, :2].T @ u) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(f[:, :2].T @ v) <= 1e-14
+
+
+def test_nan_covariance_neither_spins_nor_stops_the_plane_iteration(pinched3, monkeypatch):
+    cov = _plane_inputs(pinched3, monkeypatch)
+    passes = _count_passes(monkeypatch)
+    ref = meshmod._covariance_plane(cov)
+    clean = len(passes)
+    passes.clear()
+    got = meshmod._covariance_plane(np.concatenate([cov[:5], np.full((1, 4, 4), np.nan), cov[5:]]))
+    assert len(passes) == clean
+    assert np.isnan(got[5]).all()
+    assert np.array_equal(np.delete(got, 5, axis=0), ref)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, np.nan])
+def test_unscalable_stencils_are_degenerate(scale):
+    m = icosphere(1.0, 2)
+    v = m.vertices.copy()
+    if np.isnan(scale):
+        v[7, 1] = np.nan
+    else:
+        v *= scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateNeighborhood, match=r"vertex \d+: 2-ring offsets of size "):
+            recover_geometry(m.with_vertices(v))
 
 
 def test_recovery_is_equivariant_under_similarities(pinched3):
@@ -780,7 +921,7 @@ def _masked_shape_gradient_norm2(m):
     def diffs(idx):
         mt, mn = (_two_branch_polar(np.einsum("nia,nkib->nkab", basis, basis[idx]))
                   for basis in (m.tangent, m.normal))
-        q_t = np.einsum("nkip,nkjq,nkab,nkpqb->nkija", mt, mt, mn, m.shape[idx])
+        q_t = np.einsum("nkip,nkjq,nkab,nkpqb->nkija", mt, mt, mn, m.shape[idx], optimize=True)
         dq = q_t - m.shape[:, None]
         return np.stack([dq[:, :, 0, 0, 0], dq[:, :, 0, 1, 0], dq[:, :, 1, 1, 0],
                          dq[:, :, 0, 0, 1], dq[:, :, 0, 1, 1], dq[:, :, 1, 1, 1]], axis=2)
