@@ -39,6 +39,27 @@ def _pieces(stop: int, start: int = 0) -> list:
     return [slice(lo, min(lo + _PIECE, stop)) for lo in range(start, stop, _PIECE)]
 
 
+def _drawn_ahead(pieces, draw, use) -> None:
+    """use(s, draw(s)) for each slice s of pieces in order, each draw one piece ahead on a worker.
+
+    One worker thread runs the draws in order, draw(s) for the next piece
+    while use works on the current one on the calling thread, so at most two
+    drawn pieces exist at once.  A draw's exception is raised here, and the
+    worker is joined before this returns or raises.  draw calls no public
+    function of the package: perfbench's tracer keeps one span stack per process.
+    """
+    # imported at first use: at module level it would add milliseconds to every import
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as worker:
+        drawn = worker.submit(draw, pieces[0]) if pieces else None
+        for i, s in enumerate(pieces):
+            piece = drawn.result()
+            if i + 1 < len(pieces):
+                drawn = worker.submit(draw, pieces[i + 1])
+            use(s, piece)
+
+
 def _check_k(k) -> None:
     if not 0.5 < k <= 1.0:
         raise InvalidK(f"k must lie in (1/2, 1], got {k}")
@@ -137,11 +158,14 @@ class CertificateReport:
         }
 
 
-def _sphere_samples(grid: int, random_samples: int, seed: int):
+def _sphere_samples(grid: int, random_samples: int, seed: int,
+                    placed=lambda a, b, c, stop: None):
     """(a, b, c, oracle_rows): octant grid, seeded unit directions, then the oracle rows.
 
-    The directions are drawn a piece at a time: successive (m, 3) draws give
-    the numbers of one (random_samples, 3) draw.
+    The directions are drawn a piece at a time, each (m, 3) block on a worker
+    thread while the block before it is divided into place: successive blocks
+    give the numbers of one (random_samples, 3) draw.  placed(a, b, c, stop)
+    is called each time rows :stop are in place, first for the grid.
     """
     if grid < MIN_GRID:
         raise ResolutionTooCoarse(f"grid resolution {grid} < {MIN_GRID}")
@@ -155,12 +179,17 @@ def _sphere_samples(grid: int, random_samples: int, seed: int):
         raise ValueError(f"grid {grid} (--grid) and random_samples {random_samples} (--samples) "
                          f"give {n} samples, more than numpy can allocate") from None
     a[:g2], b[:g2], c[:g2] = _octant_sphere_grid(grid)
+    placed(a, b, c, g2)
     rng = np.random.default_rng(seed)
-    for s in _pieces(n, g2):
-        x, y, z = rng.standard_normal((s.stop - s.start, 3)).T
+
+    def place(s, block):
+        x, y, z = block.T
         norm = np.sqrt(x * x + y * y + z * z)
         for col, out in ((np.abs(x), a), (y, b), (np.abs(z), c)):
             np.divide(col, norm, out=out[s])
+        placed(a, b, c, s.stop)
+
+    _drawn_ahead(_pieces(n, g2), lambda s: rng.standard_normal((s.stop - s.start, 3)), place)
     return a, b, c, rng.choice(n, size=min(2000, n), replace=False)
 
 
@@ -175,33 +204,55 @@ def _first(values, keep: int):
     return first
 
 
+class _Reaction:
+    """The eps = 0 reduced reaction reduced a piece at a time as rows come in.
+
+    It keeps each piece's maximum and the (rows, values) of the keep rows
+    first in the order NaN, value descending, row ascending; the order is
+    total, so the result does not depend on where the pieces fall.
+    """
+
+    def __init__(self, k, gamma, keep=0):
+        self.k, self.gamma, self.keep = k, gamma, keep
+        self.done, self.maxima = 0, []
+        self.rows, self.top = np.empty(0, dtype=np.intp), np.empty(0)
+
+    def through(self, a, b, c, stop) -> None:
+        """Reduce rows done:stop of the samples (a, b, c)."""
+        # an overflow shows up as a non-finite deviation, which fails the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in _pieces(stop, self.done):
+                piece = reaction_expression(a[s], b[s], c[s], 0.0, self.k, self.gamma)
+                self.maxima.append(piece.max())
+                if self.keep:
+                    # the kept rows precede the piece's, so rows stay ascending
+                    rows = np.concatenate((self.rows, np.arange(s.start, s.stop)))
+                    top = np.concatenate((self.top, piece))
+                    first = _first(top, self.keep)
+                    self.rows, self.top = rows[first], top[first]
+        self.done = stop
+
+    def checked(self, samples):
+        """Largest value, its deviation from unreduced_reaction on the oracle rows, and the
+        kept (rows, values) in order, once every row of samples is reduced."""
+        a, b, c, idx = samples
+        self.through(a, b, c, a.size)
+        k, gamma = self.k, self.gamma
+        with np.errstate(over="ignore", invalid="ignore"):
+            ora = unreduced_reaction(a[idx], b[idx], c[idx], 0.0, k, gamma)
+            # elementwise arithmetic: the oracle rows round as in their pieces
+            red = reaction_expression(a[idx], b[idx], c[idx], 0.0, k, gamma)
+            reldev = float(np.max(np.abs(red - ora) / (1.0 + np.abs(ora))))
+        if not reldev <= ORACLE_RTOL:
+            raise AssertionError(f"reduced/unreduced reaction mismatch: {reldev:.3e}")
+        # np.max, unlike max(), keeps a NaN piece maximum; lexsort is stable: ties keep rows ascending
+        order = np.lexsort((-self.top, ~np.isnan(self.top)))
+        return float(np.max(self.maxima)), reldev, self.rows[order], self.top[order]
+
+
 def _checked_reaction(samples, k, gamma, keep=0):
-    """Largest eps = 0 reduced reaction over the samples, evaluated a piece at a time,
-    its deviation from unreduced_reaction on the oracle rows, and the (rows, values)
-    of the keep rows first in the order NaN, value descending, row ascending."""
-    # an overflow shows up as a non-finite deviation, which fails the check
-    a, b, c, idx = samples
-    maxima = []
-    rows, top = np.empty(0, dtype=np.intp), np.empty(0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in _pieces(a.size):
-            piece = reaction_expression(a[s], b[s], c[s], 0.0, k, gamma)
-            maxima.append(piece.max())
-            if keep:
-                # the kept rows precede the piece's, so rows stay ascending
-                rows = np.concatenate((rows, np.arange(s.start, s.stop)))
-                top = np.concatenate((top, piece))
-                first = _first(top, keep)
-                rows, top = rows[first], top[first]
-        ora = unreduced_reaction(a[idx], b[idx], c[idx], 0.0, k, gamma)
-        # elementwise arithmetic: the oracle rows round as in their pieces
-        red = reaction_expression(a[idx], b[idx], c[idx], 0.0, k, gamma)
-        reldev = float(np.max(np.abs(red - ora) / (1.0 + np.abs(ora))))
-    if not reldev <= ORACLE_RTOL:
-        raise AssertionError(f"reduced/unreduced reaction mismatch: {reldev:.3e}")
-    # np.max, unlike max(), keeps a NaN piece maximum; lexsort is stable: ties keep rows ascending
-    order = np.lexsort((-top, ~np.isnan(top)))
-    return float(np.max(maxima)), reldev, rows[order], top[order]
+    """_Reaction.checked over samples whose rows are all in place."""
+    return _Reaction(k, gamma, keep).checked(samples)
 
 
 def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
@@ -213,15 +264,17 @@ def certify_negativity(k: float, delta: float = 0.0, grid: int = 256,
     the two constants (e.g. the k = gamma = 1 borderline case).  Homogeneity
     of degree four reduces the sign question to the sphere:  an octant grid
     of the stated resolution plus seeded uniform random directions.  worst
-    lists the 100 in _checked_reaction's order, so worst[0] is the np.argmax row.
+    lists the 100 in _Reaction's order, so worst[0] is the np.argmax row.
     """
     _check_k(k)
-    samples = _sphere_samples(grid, random_samples, seed)
     gamma = gamma_for_k(k, delta) if gamma_override is None else gamma_override
     if not np.isfinite([delta, gamma]).all():
         raise ValueError(f"delta and gamma must be finite, got delta = {delta}, gamma = {gamma}")
+    # each piece is reduced as soon as its rows are in place
+    reaction = _Reaction(k, gamma, keep=100)
+    samples = _sphere_samples(grid, random_samples, seed, reaction.through)
     a, b, c, _ = samples
-    _, reldev, rows, top = _checked_reaction(samples, k, gamma, keep=100)
+    _, reldev, rows, top = reaction.checked(samples)
     worst = [(float(a[i]), float(b[i]), float(c[i]), float(v)) for i, v in zip(rows, top)]
     return CertificateReport(
         k=float(k), gamma=float(gamma), delta=float(delta),

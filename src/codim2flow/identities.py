@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .certifier import _pieces, gamma_for_k, reaction_expression, unreduced_reaction
+from .certifier import _drawn_ahead, _pieces, gamma_for_k, reaction_expression, unreduced_reaction
 from .curvature import field_scalars, lift_batch, reaction_terms, special_frame_fields, tensor_z_batch
 from .gradients import (_WEIGHTS, _scaled_slacks, grad_kperp_bound_fields, gradient_slacks,
                         kperp_cross, kperp_cross_raw, trace_part)
@@ -20,9 +20,9 @@ def closed_z_batch(h, a, b, c):
     return field_scalars(h, a, b, c)["simons_z"]
 
 
-def random_frame_fields(rng, count):
-    h = np.abs(rng.standard_normal(count)) + 1e-3
-    a, b, c = rng.standard_normal((3, count))
+def _curvature_draw(rng, rows):
+    h = np.abs(rng.standard_normal(rows)) + 1e-3
+    a, b, c = rng.standard_normal((3, rows))
     return h, a, b, c
 
 
@@ -73,15 +73,19 @@ def _sweep(seed, sweep, count, draw, evaluate):
     """Worst value and witness of each property of one sweep over count rows.
 
     Each _pieces(count) piece takes its states from draw(rng, rows), all from
-    rng = default_rng([seed, sweep]), so no state outlives its piece and a
-    larger count only appends pieces; evaluate(*states) maps each property to
-    the piece's (worst, witness).
+    rng = default_rng([seed, sweep]), so no state outlives the piece after it
+    and a larger count only appends pieces; evaluate(*states) maps each
+    property to the piece's (worst, witness).  The next piece is drawn on a
+    worker thread while this one is evaluated.
     """
     rng = np.random.default_rng([seed, sweep])
     parts = {}
-    for s in _pieces(count):
-        for name, part in evaluate(*draw(rng, s.stop - s.start)).items():
+
+    def use(s, states):
+        for name, part in evaluate(*states).items():
             parts.setdefault(name, []).append(part)
+
+    _drawn_ahead(_pieces(count), lambda s: draw(rng, s.stop - s.start), use)
     return {name: _worst(p) for name, p in parts.items()}
 
 
@@ -97,7 +101,7 @@ def identity_report(seed: int, count: int) -> dict:
     props = []
     if count > 0:
         n = max(count // 10, 100)
-        sweeps = ((random_frame_fields, _curvature_piece, count), (_frame_draw, _frame_piece, n),
+        sweeps = ((_curvature_draw, _curvature_piece, count), (_frame_draw, _frame_piece, n),
                   (_gradient_draw, _gradient_piece, count), (_reaction_draw, _reaction_piece, n))
         for sweep, (draw, evaluate, rows) in enumerate(sweeps):
             props += [_entry(name, rows, worst, witness) for name, (worst, witness)
@@ -129,7 +133,7 @@ def _curvature_piece(h, a, b, c):
 
 def _frame_draw(rng, rows):
     """Frame fields, then tangent and normal rotation angles and a tangent flip."""
-    fields = random_frame_fields(rng, rows)
+    fields = _curvature_draw(rng, rows)
     t, p = rng.uniform(0, 2 * np.pi, (2, rows))
     return *fields, t, p, rng.integers(0, 2, rows) * 2 - 1
 
@@ -152,7 +156,7 @@ def _frame_piece(h, a, b, c, t, p, flip):
 
 def _gradient_draw(rng, rows):
     u, v = rng.standard_normal((2, rows, 4))
-    return u, v, *random_frame_fields(rng, rows)
+    return u, v, *_curvature_draw(rng, rows)
 
 
 def _gradient_piece(u, v, *fields):
