@@ -288,15 +288,16 @@ def _sym_times(u, v, a, b, c):
     return a * u + b * v, b * u + c * v
 
 
-def _jet_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, full: np.ndarray) -> np.ndarray:
+def _jet_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted least-squares jet fit of y over x, one vertex block at a time.
 
     x (n, K, 2) holds tangent coordinates in units of the stencil scale,
-    y (n, K, 2) the two normal offsets and w (n, K) the stencil weights;
-    full (n,) selects the quartic basis, otherwise the quadratic one.
-    Returns the (n, 6, 2) coefficients of 1, x0, x1, x0^2, x0 x1, x1^2 per
-    normal direction.  Each vertex's result depends on that vertex alone.
-    Raises DegenerateNeighborhood on a rank-deficient stencil.
+    y (n, K, 2) the two normal offsets and w (n, K) the stencil weights.
+    A vertex takes the quartic basis unless its quartic normal matrix is
+    singular, and then the quadratic one.  Returns the (n, 6, 2)
+    coefficients of 1, x0, x1, x0^2, x0 x1, x1^2 per normal direction;
+    each vertex's depend on that vertex alone.  A rank-deficient stencil or
+    non-finite coefficients raise DegenerateNeighborhood naming the vertex.
     """
     n, k = w.shape
     coef = np.empty((n, _N_LOW, 2))
@@ -304,11 +305,16 @@ def _jet_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, full: np.ndarray) -> n
     # block give bit-identical output and make recovery 6-8 % slower.  The
     # heap top it lands on is still trimmed, so its pages fault in each call
     work = np.empty(sum(math.prod(s) for s in _jet_block_shapes(min(n, JET_BLOCK), k)))
+    ok = np.empty(n, dtype=bool)
     for lo in range(0, n, JET_BLOCK):
         blk = slice(lo, lo + JET_BLOCK)
-        coef[blk] = _jet_fit_block(x[blk], y[blk], w[blk], full[blk], work)
-    if not np.all(np.isfinite(coef)):
-        raise DegenerateNeighborhood("non-finite jet coefficients")
+        coef[blk], ok[blk] = _jet_fit_block(x[blk], y[blk], w[blk], work)
+    bad = ~(ok & np.isfinite(coef).all(axis=(1, 2)))
+    if bad.any():
+        i = int(bad.argmax())
+        raise DegenerateNeighborhood(
+            f"vertex {i}: {'non-finite jet coefficients' if ok[i] else 'rank-deficient jet fit'}"
+            f" over {np.count_nonzero(w[i])} weighted 2-ring points")
     return coef
 
 
@@ -320,7 +326,7 @@ def _jet_block_shapes(b: int, k: int) -> list:
             (b, rows, _MOM_DEG + 1), (rows * (_MOM_DEG + 1), b), (_N_JET + 2, _N_JET, b)]
 
 
-def _jet_fit_block(x, y, w, full, work):
+def _jet_fit_block(x, y, w, work):
     b, k = w.shape
     arrays, off = [], 0
     for shape in _jet_block_shapes(b, k):
@@ -347,15 +353,13 @@ def _jet_fit_block(x, y, w, full, work):
     # fit's own augmented normal matrix
     quad = a[_N_HIGH:, _N_HIGH:].copy()
     coef, ok = _jet_solve(a)
-    # small stencils take the quadratic fit, and so does one that cannot
-    # separate the cubic and quartic terms (a grid row with four distinct
-    # abscissae, say)
-    redo = ~(full & ok)
+    # a singular quartic matrix takes the quadratic fit: a grid row with
+    # four distinct abscissae, say, or fewer weighted points than unknowns,
+    # whose last pivot can round to 1e-11 of its diagonal
+    redo = ~ok | (np.count_nonzero(w, axis=1) < _N_JET)
     if redo.any():
         coef[redo], ok[redo] = _jet_solve(quad[:, :, redo])
-    if not ok.all():
-        raise DegenerateNeighborhood("rank-deficient jet fit")
-    return coef
+    return coef, ok
 
 
 def _jet_solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,10 +493,10 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     fit's slope and second derivatives in closed form, so a covariance
     plane tilted against the surface needs no second fit.  No field read
     from the frames depends on their signs or on the basis chosen inside
-    either plane.  Vertices whose 2-ring is too small for the quartic
-    basis, or cannot separate its terms, fall back to the plain quadratic
-    fit; a 2-ring whose distances do not square to finite positive numbers
-    raises DegenerateNeighborhood.
+    either plane.  A vertex takes the plain quadratic fit if and only if
+    its quartic normal matrix is singular (_jet_fit); a 2-ring whose
+    distances do not square to finite positive numbers raises
+    DegenerateNeighborhood naming the vertex.
     The mixed areas and the cotan velocity read the mesh's one triangle
     pass (triangle_areas).  Fills the mesh once, in place, and returns it.
     """
@@ -506,9 +510,8 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     r2 = np.einsum("nki,nki->nk", d, d)
     # weight scale from the 2-ring spread; keeps the whole stencil active
     # even when the flow compresses neighborhoods anisotropically
-    counts = mask2.sum(axis=1)
     with np.errstate(invalid="ignore"):              # inf * 0 at padded slots is caught below
-        sigma = 0.75 * np.sum(np.sqrt(r2) * mask2, axis=1) / counts
+        sigma = 0.75 * np.sum(np.sqrt(r2) * mask2, axis=1) / mask2.sum(axis=1)
     # squared distances that overflow, or underflow to 0 over a whole
     # stencil, leave the weights and the plane without a scale
     sigma2 = sigma * sigma
@@ -528,12 +531,7 @@ def recover_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     coords[:, :2] /= sigma[:, None, None]
     coords = coords.transpose(0, 2, 1)
 
-    # quartic where the stencil carries enough effective weight; plain
-    # quadratic where it does not (small 2-rings, collapsed weights)
-    eff = w.sum(axis=1) ** 2 / np.maximum((w * w).sum(axis=1), 1e-300)
-    full = (counts >= 15) & (eff >= 12.0)
-
-    coef6 = _jet_fit(coords[:, :, :2], coords[:, :, 2:], w, full)
+    coef6 = _jet_fit(coords[:, :, :2], coords[:, :, 2:], w)
 
     tangent, normal, shape = _graph_geometry(frames[:, :, :2], frames[:, :, 2:], coef6, sigma)
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -436,6 +437,14 @@ def test_cmd_rescale_from_run_dir(tmp_path, capsys):
 
 def test_cmd_flow_unknown_scenario_is_config_error():
     assert main(["flow", "definitely_missing"]) == 2
+
+
+def test_cmd_flow_degenerate_stencil_names_the_vertex(tmp_path, capsys):
+    # the icosahedron's 2-rings are two pentagons of one projected radius
+    cfg = tiny_scenario(tmp_path, subdivisions=0)
+    assert main(["--out", str(tmp_path / "runs"), "flow", str(cfg)]) == 3
+    assert re.search(r"^numerical failure: DegenerateNeighborhood: vertex \d+: ",
+                     capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [["--out", "file", "identities", "--count", "10"],

@@ -21,20 +21,22 @@ def _inline(pieces, draw, use):
         use(s, draw(s))
 
 
-def _all_results():
+def _all_results(count):
     rep = certifier.certify_negativity(0.72, **SAMPLES)
     scan = certifier.threshold_scan(0.66, 0.75, tol_k=5e-3, **SAMPLES)
-    return repr((identities.identity_report(3, 10 ** 5), identities.identity_report(3, 12345),
+    return repr((identities.identity_report(3, count), identities.identity_report(3, 12345),
                  rep.as_dict(), rep.worst, scan.as_dict()))
 
 
-@pytest.mark.parametrize("piece", [1 << 13, 7])
-def test_drawing_ahead_changes_no_byte(monkeypatch, piece):
+# at 7-row pieces numpy never releases the GIL, so the two threads take
+# turns; 10^4 samples still cross over 1400 piece boundaries a sweep
+@pytest.mark.parametrize("piece, count", [(1 << 13, 10 ** 5), (7, 10 ** 4)], ids=["8192", "7"])
+def test_drawing_ahead_changes_no_byte(monkeypatch, piece, count):
     monkeypatch.setattr(certifier, "_PIECE", piece)
-    threaded = _all_results()
+    threaded = _all_results(count)
     for mod in (certifier, identities):
         monkeypatch.setattr(mod, "_drawn_ahead", _inline)
-    assert threaded == _all_results()
+    assert threaded == _all_results(count)
 
 
 class _Boom(Exception):

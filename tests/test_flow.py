@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import codim2flow.flow as flowmod
+import codim2flow.mesh as meshmod
 from codim2flow.builders import ellipsoid_plus_bump, icosphere, product_torus
 from codim2flow.cli import SCENARIO_PRESETS, build_surface, flow_config
 from codim2flow.errors import (
@@ -499,6 +500,38 @@ def test_fsigma_integral_monotone_on_pinched_run(pinched_run):
 def test_pinched_run_reaches_threshold(pinched_run):
     assert pinched_run.status == "blowup_threshold"
     assert pinched_run.trace.rows[-1].maxA2 >= pinched_run.stop_a2
+
+
+def test_pinched_run_jet_gap_is_the_cotan_error(pinched_run):
+    # every vertex keeps the quartic fit, so the gap is the cotan |H|'s own
+    # pointwise error; a quadratic fit at the valence-5 vertices gives 0.0228
+    assert pinched_run.max_h_gap < 0.015
+
+
+def test_pinched_preset_keeps_the_quartic_fit_at_every_vertex(monkeypatch):
+    # one quartic solve per block, and no quadratic one, in each recovery
+    # of ten steps: valence-5 stencils stay on the quartic fit as they shear
+    solves, per_fit = [], []
+
+    def counted_solve(a, _real=meshmod._jet_solve):
+        solves.append(a.shape[1])
+        return _real(a)
+
+    def counted_fit(*args, _real=meshmod._jet_fit):
+        solves.clear()
+        coef = _real(*args)
+        per_fit.append((len(coef), list(solves)))
+        return coef
+
+    monkeypatch.setattr(meshmod, "_jet_solve", counted_solve)
+    monkeypatch.setattr(meshmod, "_jet_fit", counted_fit)
+    sc = SCENARIO_PRESETS["pinched_ellipsoid"]
+    m, cfg = build_surface(sc), flow_config(sc)
+    for _ in range(10):
+        m = step_mcf(m, cfg)[0]
+    assert len(per_fit) >= 11
+    for n, sizes in per_fit:
+        assert sizes == [15] * -(-n // meshmod.JET_BLOCK)
 
 
 def test_pinching_preserved_on_pinched_run(pinched_run):

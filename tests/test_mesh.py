@@ -784,13 +784,13 @@ def _stencil(mesh):
     return (d @ mesh.tangent) / sigma[:, None, None], d @ mesh.normal, w, sigma
 
 
-def _reference_fit(x, y, w, full):
+def _reference_fit(x, y, w, quartic):
     """Per-vertex normal equations solved by LU, quartic or quadratic basis."""
     out = np.empty((w.shape[0], 6, 2))
     for i in range(w.shape[0]):
         x0, x1 = x[i, :, 0], x[i, :, 1]
         cols = [np.ones_like(x0), x0, x1, x0 * x0, x0 * x1, x1 * x1]
-        if full[i]:
+        if quartic[i]:
             cols += [x0 ** 3, x0 ** 2 * x1, x0 * x1 ** 2, x1 ** 3,
                      x0 ** 4, x0 ** 3 * x1, x0 ** 2 * x1 ** 2, x0 * x1 ** 3, x1 ** 4]
         phi = np.stack(cols, axis=1)
@@ -805,63 +805,83 @@ def _assert_fits_agree(coef, ref, sigma, max_a):
     assert np.max(np.abs(coef - ref)[:, 1:3] / sigma[:, None, None]) <= 1e-10
 
 
+def _keep_14_points(w, rows):
+    """w with every weight past each selected row's 14th stencil slot zeroed:
+    15 unknowns over at most 14 weighted points make the quartic fit singular."""
+    w = w.copy()
+    w[rows, 14:] = 0.0
+    return w
+
+
 def test_jet_kernel_matches_lu_reference(sphere4, torus48, pinched3):
     for m in (sphere4, torus48, pinched3):
         x, y, w, sigma = _stencil(m)
-        full = np.ones(m.n_vertices, dtype=bool)
+        quartic = np.ones(m.n_vertices, dtype=bool)
         max_a = float(np.sqrt(np.max(m.norm_a2())))
-        _assert_fits_agree(_jet_fit(x, y, w, full), _reference_fit(x, y, w, full), sigma, max_a)
+        _assert_fits_agree(_jet_fit(x, y, w), _reference_fit(x, y, w, quartic), sigma, max_a)
 
 
 @pytest.mark.parametrize("step", [37, 1], ids=["mixed", "all_quadratic"])
 def test_jet_kernel_fallback_is_plain_quadratic_fit(pinched3, step):
     x, y, w, sigma = _stencil(pinched3)
-    full = np.ones(pinched3.n_vertices, dtype=bool)
-    full[::step] = False
-    coef = _jet_fit(x, y, w, full)
-    quad = _reference_fit(x, y, w, np.zeros_like(full))
+    small = np.zeros(pinched3.n_vertices, dtype=bool)
+    small[::step] = True
+    w = _keep_14_points(w, small)
+    coef = _jet_fit(x, y, w)
+    quad = _reference_fit(x, y, w, np.zeros_like(small))
     max_a = float(np.sqrt(np.max(pinched3.norm_a2())))
-    _assert_fits_agree(coef[~full], quad[~full], sigma[~full], max_a)
+    _assert_fits_agree(coef[small], quad[small], sigma[small], max_a)
     # the quartic terms do change the fit elsewhere
-    assert not full.any() or np.max(np.abs(coef[full] - quad[full])[:, 3:]) > 1e-6
+    assert small.all() or np.max(np.abs(coef[~small] - quad[~small])[:, 3:]) > 1e-6
 
 
 def test_jet_kernel_independent_of_block_split(pinched3):
     x, y, w, _ = _stencil(pinched3)
-    full = np.ones(pinched3.n_vertices, dtype=bool)
-    full[5::41] = False
-    whole = _jet_fit(x, y, w, full)
+    w = _keep_14_points(w, slice(5, None, 41))
+    whole = _jet_fit(x, y, w)
     cuts = [0, 1, 130, 131, 400, pinched3.n_vertices]
-    parts = [_jet_fit(x[a:b], y[a:b], w[a:b], full[a:b]) for a, b in zip(cuts, cuts[1:])]
+    parts = [_jet_fit(x[a:b], y[a:b], w[a:b]) for a, b in zip(cuts, cuts[1:])]
     # one-vertex blocks sum in another order, so equal up to rounding only
     assert np.max(np.abs(np.concatenate(parts) - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
-@pytest.mark.parametrize("full", [True, False], ids=["quartic", "quadratic"])
-def test_jet_kernel_planar_stencils_are_curvature_free(full):
+@pytest.mark.parametrize("side", [5, 3], ids=["quartic", "quadratic"])
+def test_jet_kernel_planar_stencils_are_curvature_free(side):
     # offsets that vanish or are affine over the tangent plane: a flat
     # surface, seen in a tilted frame in the affine case; the 5 x 5 grid
-    # determines every quartic term
-    g0, g1 = np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5))
+    # determines every quartic term, the 3 x 3 grid only the quadratic ones
+    g0, g1 = np.meshgrid(np.linspace(-1.0, 1.0, side), np.linspace(-1.0, 1.0, side))
     x = np.stack([g0.ravel(), g1.ravel()], axis=1)
     affine = np.stack([0.3 - 0.7 * x[:, 0] + 0.2 * x[:, 1], 1.1 * x[:, 0] - 0.4], axis=1)
     y = np.stack([np.zeros_like(affine), affine])
     w = np.exp(-np.sum(x * x, axis=1))[None].repeat(2, axis=0)
-    coef = _jet_fit(np.stack([x, x]), y, w, np.full(2, full))
+    coef = _jet_fit(np.stack([x, x]), y, w)
     assert np.max(np.abs(coef[:, 3:])) < 1e-12
     np.testing.assert_allclose(coef[1, :3], [[0.3, -0.4], [-0.7, 1.1], [0.2, 0.0]], atol=1e-12)
     assert np.max(np.abs(coef[0])) < 1e-12
 
 
 def test_jet_kernel_rank_deficient_stencil_raises():
+    # a stencil on a line through the vertex, of 18 points or of 10, sits
+    # in the second block, so the message names its index in the whole fit
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((3, 18, 2))
-    x[1, :, 1] = 0.5 * x[1, :, 0]           # stencil on a line through the vertex
-    y = rng.standard_normal((3, 18, 2))
-    w = np.ones((3, 18))
-    for full in (np.ones(3, dtype=bool), np.zeros(3, dtype=bool)):
-        with pytest.raises(DegenerateNeighborhood):
-            _jet_fit(x, y, w, full)
+    n, bad = meshmod.JET_BLOCK + 3, meshmod.JET_BLOCK + 1
+    x = rng.standard_normal((n, 18, 2))
+    x[bad, :, 1] = 0.5 * x[bad, :, 0]
+    y = rng.standard_normal((n, 18, 2))
+    for points in (18, 10):
+        w = np.ones((n, 18)) * (np.arange(18) < points)
+        with pytest.raises(DegenerateNeighborhood, match=rf"^vertex {bad}: rank-deficient jet "
+                                                         rf"fit over {points} weighted 2-ring"):
+            _jet_fit(x, y, w)
+
+
+def test_icosahedron_stencils_are_rank_deficient_and_named():
+    # each vertex's 2-ring is two pentagons of one radius over its tangent
+    # plane, on which x0^2 + x1^2 is constant: no quadratic fit either
+    with pytest.raises(DegenerateNeighborhood, match=r"^vertex \d+: rank-deficient jet fit "
+                                                     r"over 10 weighted 2-ring points$"):
+        recover_geometry(icosphere(1.0, 0))
 
 
 def test_jet_kernel_singular_quartic_takes_quadratic_fit():
@@ -871,9 +891,25 @@ def test_jet_kernel_singular_quartic_takes_quadratic_fit():
     x = np.stack([g0.ravel(), g1.ravel()], axis=1)[None]
     y = np.random.default_rng(1).standard_normal((1, 20, 2))
     w = np.ones((1, 20))
-    coef = _jet_fit(x, y, w, np.ones(1, dtype=bool))
+    coef = _jet_fit(x, y, w)
     quad = _reference_fit(x, y, w, np.zeros(1, dtype=bool))
     assert np.max(np.abs(coef - quad)) <= 1e-10 * np.max(np.abs(quad))
+
+
+def test_jet_kernel_small_stencils_take_quadratic_fit():
+    # 6 to 14 weighted points among 18 slots, 20 random stencils of each
+    # size: too few for the 15 quartic unknowns, so every quartic matrix is
+    # singular, whatever its rounded pivots read (one of the 14-point ones
+    # reads 9.4e-12 of its diagonal), and each takes the plain quadratic fit
+    rng = np.random.default_rng(2)
+    points = np.repeat(np.arange(6, 15), 20)
+    x = rng.standard_normal((points.size, 18, 2))
+    y = rng.standard_normal((points.size, 18, 2))
+    w = rng.uniform(0.1, 1.0, (points.size, 18)) * (np.arange(18) < points[:, None])
+    coef = _jet_fit(x, y, w)
+    quad = _reference_fit(x, y, w, np.zeros(points.size, dtype=bool))
+    scale = np.max(np.abs(quad), axis=(1, 2))[:, None, None]
+    assert np.max(np.abs(coef - quad) / scale) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
